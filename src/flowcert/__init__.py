@@ -27,7 +27,6 @@ from .certificate import (
     solution_ball,
     theorem_conditions,
     xi,
-    xi_radial,
 )
 from .continuation import SweepResult, bisect_boundary, sweep, sweep_table
 from .errors import (
@@ -37,12 +36,7 @@ from .errors import (
     SingularMatrixError,
     VoltageCollapseError,
 )
-from .fixed_point import (
-    SolveResult,
-    iterate_once,
-    solve_fixed_point,
-    verify_containment,
-)
+from .fixed_point import SolveResult, iterate_once, solve_fixed_point
 from .network import (
     Branch,
     Bus,
@@ -60,7 +54,7 @@ from .network import (
 )
 from .newton import NewtonResult, power_mismatch, solve_newton
 from .pipeline import PreparedGrid, prepare_grid
-from .sparse_lu import LuFactors, factorize, solve, solve_many, solve_transpose
+from .sparse_lu import LuFactors, factorize, solve, solve_many
 from .zero_load import ZeroLoadProfile, compute_w, denormalize, normalize, u_min
 
 __version__ = "0.1.0"

@@ -35,11 +35,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparse_lu import LuFactors, solve_many, solve_transpose
+from .errors import InvalidNetworkError
+from .newton import power_mismatch
+from .sparse_lu import LuFactors, solve_many
 from .zero_load import ZeroLoadProfile
 
 KERNEL_SIZE_CAP = 5000  # the kernel is dense; refuse O(n^2) blowups beyond this
 CONTAINMENT_SLACK = 1e-9
+MISMATCH_TOL = 1e-6  # p.u. power mismatch allowed of a supplied operating point
 
 P_SET_DEFAULT = (1.0, 2.0, math.inf)
 
@@ -137,34 +140,6 @@ def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
     if s.shape != (kernel.n,):
         raise ValueError(f"injection has shape {s.shape}, expected ({kernel.n},)")
     return float(np.max(kernel.abs_k @ np.abs(s)))
-
-
-def kernel_rows(
-    factors: LuFactors, w: ZeroLoadProfile, rows: np.ndarray
-) -> np.ndarray:
-    """Selected rows of K via transpose solves (no dense kernel)."""
-    out = np.empty((len(rows), factors.n), dtype=complex)
-    for pos, i in enumerate(rows):
-        e = np.zeros(factors.n, dtype=complex)
-        e[i] = 1.0
-        out[pos] = solve_transpose(factors, e) / w.w[i] / np.conj(w.w)
-    return out
-
-
-def xi_radial(
-    factors: LuFactors,
-    w: ZeroLoadProfile,
-    s: np.ndarray,
-    leaf_rows: np.ndarray,
-) -> float:
-    """Fast-path loading measure for trees: only leaf rows are computed.
-
-    Valid only on radial networks, where the row sums of |K| weighted by
-    |s| attain their maximum at a leaf; agreement with `xi` on trees is
-    property-tested.  Cost is O(n) per leaf instead of O(n^2) total.
-    """
-    rows = kernel_rows(factors, w, leaf_rows)
-    return float(np.max(np.abs(rows) @ np.abs(np.asarray(s, dtype=complex))))
 
 
 def theorem_conditions(
@@ -288,6 +263,21 @@ def check_prior_conditions(
     )
 
 
+def check_operating_point(system, v_hat: np.ndarray, s_hat: np.ndarray) -> None:
+    """Reject an operating pair that does not solve the load-flow equations.
+
+    Raises InvalidNetworkError when the largest power mismatch of
+    (v_hat, s_hat) on ``system`` exceeds MISMATCH_TOL (a stale state
+    estimate, or one taken on another network).
+    """
+    mismatch = float(np.max(np.abs(power_mismatch(system, v_hat, s_hat))))
+    if mismatch > MISMATCH_TOL:
+        raise InvalidNetworkError(
+            f"operating point does not solve the load-flow equations "
+            f"(power mismatch {mismatch:.3e} p.u. exceeds {MISMATCH_TOL:g})"
+        )
+
+
 def certify(
     kernel: KernelMatrix,
     s: np.ndarray,
@@ -297,16 +287,14 @@ def certify(
     s_hat: np.ndarray | None = None,
     p_set=P_SET_DEFAULT,
     system=None,
-    residual_tol: float = 1e-6,
 ) -> CertificateReport:
     """Run every applicable condition set and merge into one report.
 
     The state-aware conditions are evaluated when (v_hat, s_hat, w) are
-    all supplied; passing ``system`` additionally verifies that the
-    operating pair solves the load-flow equations to ``residual_tol``
-    (debug-mode guard against stale state estimates).  ``rho`` in the
-    merged report comes from the state-aware set when evaluated, else
-    from the state-free one.
+    all supplied; passing ``system`` additionally verifies the operating
+    pair with `check_operating_point`.  ``rho`` in the merged report
+    comes from the state-aware set when evaluated, else from the
+    state-free one.
     """
     report = check_corollary(kernel, s)
     priors = check_prior_conditions(kernel, s, p_set)
@@ -318,14 +306,7 @@ def certify(
     )
     if v_hat is not None and s_hat is not None and w is not None:
         if system is not None:
-            from .newton import power_mismatch
-
-            mismatch = float(np.max(np.abs(power_mismatch(system, v_hat, s_hat))))
-            if mismatch > residual_tol:
-                raise ValueError(
-                    f"operating point does not solve the load-flow equations "
-                    f"(mismatch {mismatch:.3e} > {residual_tol:g})"
-                )
+            check_operating_point(system, v_hat, s_hat)
         from .zero_load import u_min as u_min_of
 
         thm = check_theorem(kernel, u_min_of(v_hat, w), s_hat, s)

@@ -122,8 +122,9 @@ def sweep(
         return cert.check_prior_conditions(kernel, s_at(kappa), p_set).improved_ok
 
     corollary_mask = np.array([corollary_at(k) for k in kappa_grid])
-    prior_mask = np.array([prior_at(k) for k in kappa_grid])
-    improved_mask = np.array([improved_at(k) for k in kappa_grid])
+    priors = [cert.check_prior_conditions(kernel, s_at(k), p_set) for k in kappa_grid]
+    prior_mask = np.array([p.bolognani_ok for p in priors])
+    improved_mask = np.array([p.improved_ok for p in priors])
 
     theorem_mask = None
     theorem_interval = None

@@ -6,7 +6,7 @@ class InvalidNetworkError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """No admissible pivot remains during factorization."""
+    """The matrix to factor is exactly or numerically singular."""
 
 
 class DegenerateNetworkError(ArithmeticError):

@@ -116,17 +116,3 @@ def solve_fixed_point(
         last_step=steps[-1],
         iterate=v,
     )
-
-
-def verify_containment(
-    v: np.ndarray,
-    v_hat: np.ndarray,
-    w: ZeroLoadProfile,
-    rho: float,
-) -> bool:
-    """Check |v_i - v_hat_i| <= rho |w_i| per coordinate (small slack)."""
-    v = np.asarray(v, dtype=complex)
-    v_hat = np.asarray(v_hat, dtype=complex)
-    return bool(
-        np.all(np.abs(v - v_hat) <= rho * np.abs(w.w) + 1e-9)
-    )

@@ -23,6 +23,7 @@ documents so one grid can be paired with many scenarios (see
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,17 +116,6 @@ class NetworkDescription:
         """True when the branch multigraph is a tree."""
         pairs = {frozenset((b.from_bus, b.to_bus)) for b in self.branches}
         return len(self.branches) == self.n and len(pairs) == len(self.branches)
-
-    def leaf_load_indices(self) -> np.ndarray:
-        """Load-vector indices of degree-1 buses (tree leaves)."""
-        degree: dict[str, int] = {bus.id: 0 for bus in self.buses}
-        for br in self.branches:
-            degree[br.from_bus] += 1
-            degree[br.to_bus] += 1
-        return np.array(
-            [self.load_index(b.id) for b in self.load_buses if degree[b.id] == 1],
-            dtype=int,
-        )
 
 
 def to_per_unit(power_mw_mvar: complex, power_base: float) -> complex:
@@ -247,7 +237,13 @@ def _number(record: dict, key: str, what: str, default=None) -> float:
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidNetworkError(f"{what} field {key!r} must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidNetworkError(f"{what} field {key!r} must be finite, got {number}")
+    return number
 
 
 def _bus_id(value, what: str) -> str:

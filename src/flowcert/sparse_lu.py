@@ -1,251 +1,73 @@
-"""Sparse complex LU factorization with Markowitz pivot selection.
+"""Sparse complex LU factorization: a thin layer over SciPy's SuperLU.
 
-Each elimination step picks the admissible entry minimizing the
-Markowitz count (row_count - 1) * (col_count - 1) over the whole active
-submatrix, with ties broken by larger magnitude.  An entry is admissible
-when its magnitude is at least PIVOT_THRESHOLD times the largest
-magnitude in its column; this threshold-pivoting compromise keeps the
-factorization stable while the count keeps fill-in low — near zero on
-tree-structured systems, which is what makes repeated solves on radial
-feeders effectively linear in the bus count.
+`factorize` factors a square matrix once with `scipy.sparse.linalg.splu`
+at SciPy's default settings: supernodal LU with partial pivoting and a
+COLAMD column ordering (Demmel et al., "A supernodal approach to sparse
+partial pivoting", SIMAX 1999).  `solve` and `solve_many` reuse the
+factors for any number of right-hand sides and never modify them.
 
-Factors are immutable once built; solves against shared factors are
-safe to run concurrently.
+SuperLU reports an exactly singular factor with a RuntimeError, which is
+raised here as SingularMatrixError; so is a factor whose smallest pivot
+magnitude is below PIVOT_FLOOR (numerically singular despite a sound
+structure).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import SingularMatrixError
 
-PIVOT_THRESHOLD = 0.1  # relative to the largest magnitude in the pivot's column
-PIVOT_FLOOR = 1e-13  # admissible pivots below this signal numerical singularity
+PIVOT_FLOOR = 1e-13  # pivots below this signal numerical singularity
 
 
+@dataclass(frozen=True)
 class LuFactors:
-    """Triangular factors of a row/column permutation of the input.
+    """SuperLU factors of one n x n matrix A.
 
-    ``row_perm[k]`` / ``col_perm[k]`` give the original row and column
-    pivoted at step k, so A[row_perm, :][:, col_perm] = L @ U with L
-    unit-diagonal lower triangular and U upper triangular.
-    ``fill_in_count`` is the number of structurally new entries created
-    during elimination.
+    ``fill_in_count`` is the number of entries of L and U beyond those of
+    A, counting the diagonal once: L.nnz + U.nnz - n - nnz(A).
     """
 
-    def __init__(self, n, row_perm, col_perm, fill_in_count, lcols, urows, diag):
-        self.n = n
-        self.row_perm = np.asarray(row_perm, dtype=int)
-        self.col_perm = np.asarray(col_perm, dtype=int)
-        self.fill_in_count = fill_in_count
-        # Factor entries keyed by *original* indices: _lcols[k] holds
-        # (original_row, multiplier) pairs below the step-k pivot,
-        # _urows[k] holds (original_col, value) pairs right of it.
-        self._lcols = lcols
-        self._urows = urows
-        self._diag = diag
-        self._row_pos = np.empty(n, dtype=int)
-        self._row_pos[self.row_perm] = np.arange(n)
-        self._col_pos = np.empty(n, dtype=int)
-        self._col_pos[self.col_perm] = np.arange(n)
-
-    @cached_property
-    def lower(self) -> sparse.csc_matrix:
-        """L in elimination order (unit diagonal included)."""
-        rows = list(range(self.n))
-        cols = list(range(self.n))
-        vals = [1.0 + 0j] * self.n
-        for m, entries in enumerate(self._lcols):
-            for orig_row, mult in entries:
-                rows.append(int(self._row_pos[orig_row]))
-                cols.append(m)
-                vals.append(mult)
-        return sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(self.n, self.n)
-        ).tocsc()
-
-    @cached_property
-    def upper(self) -> sparse.csc_matrix:
-        """U in elimination order (pivots on the diagonal)."""
-        rows = list(range(self.n))
-        cols = list(range(self.n))
-        vals = list(self._diag)
-        for k, entries in enumerate(self._urows):
-            for orig_col, value in entries:
-                rows.append(k)
-                cols.append(int(self._col_pos[orig_col]))
-                vals.append(value)
-        return sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(self.n, self.n)
-        ).tocsc()
-
-
-def _to_row_dicts(matrix):
-    """Matrix (scipy sparse or ndarray) -> list of {col: value} rows."""
-    coo = sparse.coo_matrix(matrix)
-    if coo.shape[0] != coo.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {coo.shape}")
-    coo.sum_duplicates()
-    rows: list[dict[int, complex]] = [dict() for _ in range(coo.shape[0])]
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if v != 0:
-            rows[int(i)][int(j)] = complex(v)
-    return rows
-
-
-class _Buckets:
-    """Rows or columns grouped by active entry count, with a lazy min."""
-
-    def __init__(self, counts):
-        self.count = counts
-        self.groups = defaultdict(set)
-        for idx, c in enumerate(counts):
-            self.groups[c].add(idx)
-        self.floor = 1
-
-    def move(self, idx, new_count):
-        self.groups[self.count[idx]].discard(idx)
-        self.count[idx] = new_count
-        self.groups[new_count].add(idx)
-        if new_count < self.floor:
-            self.floor = new_count
-
-    def remove(self, idx):
-        self.groups[self.count[idx]].discard(idx)
-        self.count[idx] = -1
-
-    def min_count(self, limit):
-        c = max(self.floor, 1)
-        while c <= limit and not self.groups.get(c):
-            c += 1
-        self.floor = c
-        return c if c <= limit else None
+    n: int
+    fill_in_count: int
+    lu: SuperLU
 
 
 def factorize(y_ll) -> LuFactors:
-    """Factor a square sparse complex matrix.
+    """Factor a square sparse (or dense) complex matrix.
 
-    Raises SingularMatrixError when no admissible pivot remains, i.e.
-    every candidate passing the column threshold is below PIVOT_FLOOR
-    in magnitude (numerical singularity despite a sound structure).
+    Raises SingularMatrixError when the matrix is exactly singular or its
+    smallest pivot is below PIVOT_FLOOR in magnitude.
     """
-    rows = _to_row_dicts(y_ll)
-    n = len(rows)
-    cols: list[set[int]] = [set() for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in row:
-            cols[j].add(i)
-
-    row_buckets = _Buckets([len(r) for r in rows])
-    col_buckets = _Buckets([len(c) for c in cols])
-
-    row_perm: list[int] = []
-    col_perm: list[int] = []
-    lcols: list[list[tuple[int, complex]]] = []
-    urows: list[list[tuple[int, complex]]] = []
-    diag: list[complex] = []
-    fill_in = 0
-
-    for _step in range(n):
-        min_col = col_buckets.min_count(n)
-        pivot = _select_pivot(rows, cols, row_buckets, col_buckets, min_col, n)
-        if pivot is None:
-            raise SingularMatrixError(
-                f"no admissible pivot at elimination step {_step} "
-                f"(matrix is numerically singular)"
-            )
-        pi, pj = pivot
-        pval = rows[pi][pj]
-        row_perm.append(pi)
-        col_perm.append(pj)
-        diag.append(pval)
-
-        pivot_row = [(c, v) for c, v in rows[pi].items() if c != pj]
-        urows.append(pivot_row)
-
-        eliminated = [r for r in cols[pj] if r != pi]
-        step_l: list[tuple[int, complex]] = []
-        for r in eliminated:
-            mult = rows[r][pj] / pval
-            step_l.append((r, mult))
-            target = rows[r]
-            del target[pj]
-            for c, uval in pivot_row:
-                if c in target:
-                    target[c] -= mult * uval
-                else:
-                    target[c] = -mult * uval
-                    cols[c].add(r)
-                    fill_in += 1
-            row_buckets.move(r, len(target))
-        lcols.append(step_l)
-
-        # Retire the pivot row and column; sync column counts (the pivot
-        # row left them, fill may have joined them).
-        for c, _ in pivot_row:
-            cols[c].discard(pi)
-            col_buckets.move(c, len(cols[c]))
-        rows[pi] = {}
-        cols[pj] = set()
-        row_buckets.remove(pi)
-        col_buckets.remove(pj)
-
-    return LuFactors(n, row_perm, col_perm, fill_in, lcols, urows, diag)
-
-
-def _select_pivot(rows, cols, row_buckets, col_buckets, min_col, n):
-    best = None
-    best_key = None
-    if min_col is None:
-        return None
-    rc = row_buckets.min_count(n)
-    while rc is not None:
-        if best_key is not None and (rc - 1) * (min_col - 1) >= best_key[0]:
-            break
-        for i in row_buckets.groups.get(rc, ()):
-            for j, a in rows[i].items():
-                aa = abs(a)
-                col_max = max(abs(rows[r][j]) for r in cols[j])
-                if aa < max(PIVOT_THRESHOLD * col_max, PIVOT_FLOOR):
-                    continue
-                cost = (rc - 1) * (len(cols[j]) - 1)
-                key = (cost, -aa, i, j)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        rc += 1
-        while rc <= n and not row_buckets.groups.get(rc):
-            rc += 1
-        if rc > n:
-            rc = None
-    return best
+    a = sparse.csc_matrix(y_ll, dtype=complex)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    n = a.shape[0]
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:
+        raise SingularMatrixError(f"matrix is singular: {exc}") from exc
+    smallest = float(np.min(np.abs(lu.U.diagonal())))
+    if smallest < PIVOT_FLOOR:
+        raise SingularMatrixError(
+            f"smallest pivot {smallest:.3e} is below {PIVOT_FLOOR:g} "
+            f"(matrix is numerically singular)"
+        )
+    fill_in = lu.L.nnz + lu.U.nnz - n - a.count_nonzero()
+    return LuFactors(n=n, fill_in_count=int(fill_in), lu=lu)
 
 
 def solve(factors: LuFactors, rhs) -> np.ndarray:
     """Solve A x = rhs using the stored factors."""
-    n = factors.n
     b = np.asarray(rhs, dtype=complex)
-    if b.shape != (n,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-    y = b.tolist()
-    row_perm = factors.row_perm.tolist()
-    col_perm = factors.col_perm.tolist()
-    for k in range(n):
-        t = y[row_perm[k]]
-        if t != 0:
-            for r, mult in factors._lcols[k]:
-                y[r] -= mult * t
-    x = [0j] * n
-    for k in range(n - 1, -1, -1):
-        acc = y[row_perm[k]]
-        for c, uval in factors._urows[k]:
-            acc -= uval * x[c]
-        x[col_perm[k]] = acc / factors._diag[k]
-    return np.array(x, dtype=complex)
+    if b.shape != (factors.n,):
+        raise ValueError(f"rhs has shape {b.shape}, expected ({factors.n},)")
+    return factors.lu.solve(b)
 
 
 def solve_many(factors: LuFactors, rhs_columns) -> np.ndarray:
@@ -257,28 +79,3 @@ def solve_many(factors: LuFactors, rhs_columns) -> np.ndarray:
     for m in range(b.shape[1]):
         out[:, m] = solve(factors, b[:, m])
     return out
-
-
-def solve_transpose(factors: LuFactors, rhs) -> np.ndarray:
-    """Solve A^T x = rhs with the same factors (no refactorization)."""
-    n = factors.n
-    b = np.asarray(rhs, dtype=complex)
-    if b.shape != (n,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({n},)")
-    col_pos = factors._col_pos.tolist()
-    row_pos = factors._row_pos.tolist()
-    t = b[factors.col_perm].tolist()
-    for m in range(n):
-        t[m] /= factors._diag[m]
-        tm = t[m]
-        if tm != 0:
-            for c, uval in factors._urows[m]:
-                t[col_pos[c]] -= uval * tm
-    for m in range(n - 1, -1, -1):
-        acc = t[m]
-        for r, mult in factors._lcols[m]:
-            acc -= mult * t[row_pos[r]]
-        t[m] = acc
-    x = np.empty(n, dtype=complex)
-    x[factors.row_perm] = t
-    return x

@@ -83,6 +83,18 @@ def chain_network(n_load: int) -> fc.NetworkDescription:
     return fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
 
 
+def star_network(n_load: int) -> fc.NetworkDescription:
+    """Bushy tree: hub bus 1 under the slack, every other bus a leaf of the hub."""
+    buses = [fc.Bus("0", "slack")]
+    buses += [fc.Bus(str(i), "load") for i in range(1, n_load + 1)]
+    branches = [fc.Branch("0", "1", "line", 1.0 / (0.01 + 0.03j))]
+    branches += [
+        fc.Branch("1", str(i), "line", 1.0 / (0.01 + 0.03j))
+        for i in range(2, n_load + 1)
+    ]
+    return fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
+
+
 def sample_in_ball(
     rng: np.random.Generator, center: np.ndarray, rho: float
 ) -> np.ndarray:

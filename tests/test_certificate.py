@@ -16,9 +16,8 @@ from flowcert.certificate import (
     solution_ball,
     theorem_conditions,
     xi,
-    xi_radial,
 )
-from netrand import random_injections, random_network, random_tree, scale_to_xi
+from netrand import random_injections, random_network, scale_to_xi
 
 # --- kernel -------------------------------------------------------------------
 
@@ -306,17 +305,3 @@ def test_solution_ball_requires_pass(feeder_grid, feeder_s_next):
     rep = check_corollary(feeder_grid.kernel, feeder_s_next)
     with pytest.raises(ValueError, match="failed certificate"):
         solution_ball(rep, feeder_grid.w.w, feeder_grid.w)
-
-
-# --- leaf-row fast path --------------------------------------------------------------
-
-
-def test_leaf_row_fast_path_agrees_on_trees():
-    rng = np.random.default_rng(38)
-    for _ in range(25):
-        net = random_tree(rng, int(rng.integers(2, 14)))
-        assert net.is_radial
-        grid = fc.prepare_grid(net)
-        s = random_injections(rng, net.n)
-        fast = xi_radial(grid.factors, grid.w, s, net.leaf_load_indices())
-        assert fast == pytest.approx(xi(grid.kernel, s), rel=1e-10)

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -162,6 +163,25 @@ def test_sweep_table_is_monotone_and_nested(tmp_path):
     assert not np.any(improved & ~corollary)
     theorem = np.array([c[1] == "1" for c in rows])
     assert theorem.any()  # the state-aware band shows up around kappa_hat
+
+
+def test_sweep_with_operating_point_factorizes_once(tmp_path, monkeypatch):
+    real = fc.sparse_lu.factorize
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module.__name__ or "").startswith("flowcert") and \
+                getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", counted)
+    code = run(["sweep", "--network", NETWORK, "--injections", S_BASE,
+                "--operating-point", OP, "--steps", "8",
+                "--out", str(tmp_path / "sweep.csv")])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_dump_matrix_coordinates(tmp_path, feeder_net):

@@ -101,6 +101,24 @@ def test_empirical_convergence_where_corollary_passes(feeder_net, feeder_s_hat):
     assert not np.any(result.corollary_mask & ~result.fp_converged)
 
 
+def test_sweep_evaluates_prior_conditions_once_per_point(
+    feeder_net, feeder_s_hat, monkeypatch
+):
+    real = fc.certificate.check_prior_conditions
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fc.certificate, "check_prior_conditions", counted)
+    n = 16
+    small_sweep(feeder_net, feeder_s_hat, steps=n)
+    with_n = len(calls)
+    small_sweep(feeder_net, feeder_s_hat, steps=2 * n)
+    assert len(calls) - with_n - with_n == n
+
+
 def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat):
     with pytest.raises(ValueError, match="grid points"):
         sweep(feeder_net, feeder_s_hat, steps=1)

@@ -143,6 +143,9 @@ def _mutations():
         ("non-positive power base", bad_base),
         ("missing g field", mutate(**{"branches.0.g": None})),
         ("string where number expected", mutate(**{"branches.0.b": "nope"})),
+        ("infinite branch conductance", mutate(**{"branches.0.g": float("inf")})),
+        ("NaN shunt susceptance", mutate(**{"buses.1.shunt_b": float("nan")})),
+        ("integer beyond float range", mutate(**{"branches.0.b": -(10**400)})),
     ]
 
 
@@ -185,6 +188,7 @@ def test_parse_injections_fills_and_converts(feeder_net):
             ],
             "duplicate",
         ),
+        ([{"bus": "1", "p_mw": float("nan"), "q_mvar": 0}], "finite"),
     ],
 )
 def test_parse_injections_rejects(feeder_net, records, match):
