@@ -8,12 +8,7 @@ Newton-Raphson solver), and maps certificate feasibility intervals by
 continuation sweeps.
 """
 
-from .admittance import (
-    AdmittanceSystem,
-    build_admittance,
-    full_admittance,
-    structural_invertibility_check,
-)
+from .admittance import AdmittanceSystem, build_admittance, full_admittance
 from .certificate import (
     CertificateReport,
     KernelMatrix,
@@ -54,7 +49,7 @@ from .network import (
 )
 from .newton import NewtonResult, power_mismatch, solve_newton
 from .pipeline import PreparedGrid, prepare_grid
-from .sparse_lu import LuFactors, factorize, solve, solve_many
-from .zero_load import ZeroLoadProfile, compute_w, denormalize, normalize, u_min
+from .sparse_lu import LuFactors, factorize, solve
+from .zero_load import ZeroLoadProfile, compute_w, u_min
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Nodal admittance assembly and the structural invertibility pre-check.
+"""Nodal admittance assembly.
 
 The full matrix is stamped branch by branch.  A line of admittance y
 between i and j contributes the block [[y, -y], [-y, y]].  A transformer
@@ -99,37 +99,3 @@ def build_admittance(
     return AdmittanceSystem(
         y_ll=y_ll, y_l0=y_l0, slack_voltage=complex(slack_voltage), n=net.n
     )
-
-
-def structural_invertibility_check(net: NetworkDescription) -> str | None:
-    """Decide invertibility of the load submatrix from structure alone.
-
-    Returns None when the submatrix is provably invertible: every load
-    bus reaches the slack through the branch graph, all branch
-    conductances are positive, and shunt conductances are non-negative.
-    Otherwise returns a diagnostic naming the first offending element.
-    Purely structural; no numerical rank estimation is involved.
-    """
-    for br in net.branches:
-        if br.admittance.real <= 0:
-            return (
-                f"branch {br.from_bus!r}->{br.to_bus!r} has non-positive "
-                f"conductance {br.admittance.real}"
-            )
-    for bus in net.buses:
-        if bus.shunt_admittance.real < 0:
-            return (
-                f"bus {bus.id!r} has negative shunt conductance "
-                f"{bus.shunt_admittance.real}"
-            )
-
-    # Connectivity to the slack: with positive conductances, any null
-    # vector of the load submatrix must propagate zeros from a
-    # slack-adjacent bus across the whole graph, so reachability is the
-    # whole remaining condition.
-    from .network import _unreachable_buses
-
-    unreachable = _unreachable_buses(net)
-    if unreachable:
-        return f"bus {unreachable[0]!r} has no path to the slack bus"
-    return None

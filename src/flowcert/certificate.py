@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidNetworkError
 from .newton import power_mismatch
-from .sparse_lu import LuFactors, solve_many
+from .sparse_lu import LuFactors, solve
 from .zero_load import ZeroLoadProfile
 
 KERNEL_SIZE_CAP = 5000  # the kernel is dense; refuse O(n^2) blowups beyond this
@@ -49,19 +49,25 @@ P_SET_DEFAULT = (1.0, 2.0, math.inf)
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense normalized inverse-admittance kernel with |K| precomputed.
+    """Dense |K| plus every kernel quantity that does not depend on s.
 
-    ``abs_k`` is reused by every xi evaluation (one real matvec each),
-    ``row_abs`` holds the plain row sums of |K|.
+    ``abs_k`` holds |K_ij| and is reused by every xi evaluation (one real
+    matvec each).  ``lam`` holds the canonical column weights
+    lambda_j = 1 / max_h |K_hj|.  ``row_norm[p]`` and
+    ``weighted_row_norm[p]`` are the max row p-norms of |K| and of
+    |K| diag(lambda) for p in P_SET_DEFAULT; a complex row and its
+    magnitudes have the same p-norm, so they are those of K and of
+    K diag(lambda) as well.
     """
 
-    k: np.ndarray
     abs_k: np.ndarray
-    row_abs: np.ndarray
+    lam: np.ndarray
+    row_norm: dict[float, float]
+    weighted_row_norm: dict[float, float]
 
     @property
     def n(self) -> int:
-        return self.k.shape[0]
+        return self.abs_k.shape[0]
 
 
 @dataclass(frozen=True)
@@ -117,10 +123,13 @@ def build_kernel(
     w: ZeroLoadProfile,
     size_cap: int = KERNEL_SIZE_CAP,
 ) -> KernelMatrix:
-    """Materialize K = diag(1/w) y_ll^-1 diag(1/conj(w)).
+    """Materialize |K| for K = diag(1/w) y_ll^-1 diag(1/conj(w)).
 
-    Formed by n sparse solves against identity columns; O(n^2) memory,
-    so networks above ``size_cap`` are refused outright.
+    Column j of y_ll^-1 comes from one sparse solve against the j-th unit
+    vector and is kept only as its magnitudes, so the complex inverse is
+    never held.  The column weights and the max row p-norms are computed
+    here once.  |K| is O(n^2) memory, so networks above ``size_cap`` are
+    refused outright.
     """
     n = factors.n
     if n > size_cap:
@@ -128,10 +137,30 @@ def build_kernel(
             f"kernel for n={n} exceeds the size cap {size_cap}; "
             f"the dense kernel is quadratic in memory"
         )
-    inv = solve_many(factors, np.eye(n, dtype=complex))
-    k = inv / w.w[:, None] / np.conj(w.w)[None, :]
-    abs_k = np.abs(k)
-    return KernelMatrix(k=k, abs_k=abs_k, row_abs=abs_k.sum(axis=1))
+    abs_k_t = np.empty((n, n))  # row j holds column j of |K|
+    unit = np.zeros(n, dtype=complex)
+    for j in range(n):
+        unit[j] = 1.0
+        abs_k_t[j] = np.abs(solve(factors, unit) / w.w / np.conj(w.w[j]))
+        unit[j] = 0.0
+    abs_k = abs_k_t.T
+    col_max = abs_k.max(axis=0)
+    lam = 1.0 / col_max
+    row_sq = np.einsum("ij,ij->i", abs_k, abs_k)
+    weighted_row_sq = np.einsum("ij,ij,j->i", abs_k, abs_k, lam * lam)
+    row_norm = {
+        1.0: float(np.max(abs_k.sum(axis=1))),
+        2.0: float(np.sqrt(np.max(row_sq))),
+        math.inf: float(np.max(col_max)),
+    }
+    weighted_row_norm = {
+        1.0: float(np.max(abs_k @ lam)),
+        2.0: float(np.sqrt(np.max(weighted_row_sq))),
+        # max_ij |K_ij| lambda_j: each column's largest entry times its weight
+        math.inf: float(np.max(col_max * lam)),
+    }
+    return KernelMatrix(abs_k=abs_k, lam=lam, row_norm=row_norm,
+                        weighted_row_norm=weighted_row_norm)
 
 
 def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
@@ -207,11 +236,6 @@ def _conjugate_exponent(p: float) -> float:
     raise ValueError(f"unsupported Hoelder exponent p={p}; use 1, 2 or inf")
 
 
-def _max_row_norm(a: np.ndarray, p: float) -> float:
-    """max over rows of the vector p-norm of the row."""
-    return float(np.max(np.linalg.norm(a, ord=p, axis=1)))
-
-
 @dataclass(frozen=True)
 class PriorConditions:
     """Any-p verdicts plus the per-p detail for both earlier conditions."""
@@ -236,15 +260,17 @@ def check_prior_conditions(
     witness: ``improved_ok`` holds when either the weighted or the plain
     product passes for some p, which keeps the refined condition a
     superset of the plain one by construction.
+
+    O(n) per call: the row norms and the weights come cached in ``kernel``.
     """
-    s = np.asarray(s, dtype=complex)
-    lam = 1.0 / kernel.abs_k.max(axis=0)
+    abs_s = np.abs(np.asarray(s, dtype=complex))
+    scaled_s = abs_s / kernel.lam
     entries = []
     for p in p_set:
         q = _conjugate_exponent(p)
-        product = _max_row_norm(kernel.k, p) * float(np.linalg.norm(s, ord=q))
-        weighted = _max_row_norm(kernel.k * lam[None, :], p) * float(
-            np.linalg.norm(s / lam, ord=q)
+        product = kernel.row_norm[p] * float(np.linalg.norm(abs_s, ord=q))
+        weighted = kernel.weighted_row_norm[p] * float(
+            np.linalg.norm(scaled_s, ord=q)
         )
         entries.append(
             PriorConditionEntry(
@@ -296,30 +322,23 @@ def certify(
     comes from the state-aware set when evaluated, else from the
     state-free one.
     """
-    report = check_corollary(kernel, s)
-    priors = check_prior_conditions(kernel, s, p_set)
-    report = replace(
-        report,
-        bolognani_ok=priors.bolognani_ok,
-        improved_ok=priors.improved_ok,
-        bolognani_detail=priors.detail,
-    )
     if v_hat is not None and s_hat is not None and w is not None:
         if system is not None:
             check_operating_point(system, v_hat, s_hat)
         from .zero_load import u_min as u_min_of
 
-        thm = check_theorem(kernel, u_min_of(v_hat, w), s_hat, s)
-        report = replace(
-            report,
-            xi_s_hat=thm.xi_s_hat,
-            xi_delta_s=thm.xi_delta_s,
-            u_min=thm.u_min,
-            delta=thm.delta,
-            theorem_ok=thm.theorem_ok,
-            rho=thm.rho,
-        )
-    return report
+        report = check_theorem(kernel, u_min_of(v_hat, w), s_hat, s)
+        # the state-free verdict reuses the theorem's xi(s)
+        report = replace(report, corollary_ok=corollary_condition(report.xi_s)[0])
+    else:
+        report = check_corollary(kernel, s)
+    priors = check_prior_conditions(kernel, s, p_set)
+    return replace(
+        report,
+        bolognani_ok=priors.bolognani_ok,
+        improved_ok=priors.improved_ok,
+        bolognani_detail=priors.detail,
+    )
 
 
 def solution_ball(

@@ -12,6 +12,7 @@ step and residual reported are both w-weighted infinity norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,9 @@ def solve_fixed_point(
     convergence behaviour empirically, but carry no guarantee fields.
 
     Raises ConvergenceError (with the last iterate attached) after
-    ``max_iter`` steps, or VoltageCollapseError if an iterate degenerates.
+    ``max_iter`` steps or at the first step that is not finite (a NaN or
+    infinite injection), or VoltageCollapseError if an iterate
+    degenerates.
     """
     if v0 is None:
         v0 = ball.center if ball is not None else w.w
@@ -96,6 +99,13 @@ def solve_fixed_point(
         v_next = iterate_once(factors, w, s, v)
         step = float(np.max(np.abs((v_next - v) / w.w)))
         steps.append(step)
+        if not math.isfinite(step):
+            raise ConvergenceError(
+                f"fixed-point step {iteration} is not finite ({step})",
+                iterations=iteration,
+                last_step=step,
+                iterate=v,
+            )
         v = v_next
         if step < tol:
             probe = iterate_once(factors, w, s, v)

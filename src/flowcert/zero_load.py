@@ -42,16 +42,6 @@ def compute_w(sys: AdmittanceSystem, factors: LuFactors) -> ZeroLoadProfile:
     return ZeroLoadProfile(w=w)
 
 
-def normalize(v: np.ndarray, w: ZeroLoadProfile) -> np.ndarray:
-    """v -> u = v / w componentwise."""
-    return np.asarray(v, dtype=complex) / w.w
-
-
-def denormalize(u: np.ndarray, w: ZeroLoadProfile) -> np.ndarray:
-    """u -> v = w * u componentwise (exact inverse of normalize)."""
-    return np.asarray(u, dtype=complex) * w.w
-
-
 def u_min(v_hat: np.ndarray, w: ZeroLoadProfile) -> float:
     """Smallest normalized voltage magnitude min_j |v_hat_j / w_j|."""
     return float(np.min(np.abs(np.asarray(v_hat, dtype=complex) / w.w)))

@@ -135,38 +135,3 @@ def test_quadratic_form_positive(trial):
     for _ in range(100):
         x = rng_positivity.normal(size=n) + 1j * rng_positivity.normal(size=n)
         assert np.real(np.conj(x) @ (y @ x)) > 0
-
-
-def test_structural_check_accepts_feeder(feeder_net):
-    assert fc.structural_invertibility_check(feeder_net) is None
-
-
-def test_structural_check_names_bad_branch():
-    # Direct dataclass construction bypasses parse validation, which is
-    # exactly what the diagnostic path is for.
-    net = fc.NetworkDescription(
-        buses=(fc.Bus("0", "slack"), fc.Bus("1", "load")),
-        branches=(fc.Branch("0", "1", "line", 0 - 5j),),
-        power_base=1.0,
-        voltage_base=1.0,
-    )
-    diag = fc.structural_invertibility_check(net)
-    assert diag is not None and "'0'->'1'" in diag and "conductance" in diag
-
-
-def test_structural_check_names_unreachable_bus():
-    net = fc.NetworkDescription(
-        buses=(fc.Bus("0", "slack"), fc.Bus("1", "load"), fc.Bus("2", "load")),
-        branches=(fc.Branch("0", "1", "line", 1 - 2j),),
-        power_base=1.0,
-        voltage_base=1.0,
-    )
-    diag = fc.structural_invertibility_check(net)
-    assert diag is not None and "'2'" in diag and "path to the slack" in diag
-
-
-def test_structural_check_ok_on_parse_accepted_random_networks():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        net = random_network(rng, int(rng.integers(1, 12)))
-        assert fc.structural_invertibility_check(net) is None

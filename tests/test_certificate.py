@@ -30,14 +30,14 @@ def test_single_bus_kernel():
         1.0,
     )
     grid = fc.prepare_grid(net)
-    assert np.allclose(grid.kernel.k, [[0.5]])
+    assert np.allclose(grid.kernel.abs_k, [[0.5]])
     # xi = |s| / |y| for the single-bus case
     assert xi(grid.kernel, np.array([0.5 + 0j])) == pytest.approx(0.25)
 
 
 def test_kernel_equals_inverse_when_w_is_unity(feeder_grid):
     inv = np.linalg.inv(feeder_grid.system.y_ll.toarray())
-    assert np.max(np.abs(feeder_grid.kernel.k - inv)) < 1e-9
+    assert np.max(np.abs(feeder_grid.kernel.abs_k - np.abs(inv))) < 1e-9
 
 
 def test_kernel_identity_product():
@@ -46,7 +46,8 @@ def test_kernel_identity_product():
     grid = fc.prepare_grid(net)
     w = grid.w.w
     scaled = np.diag(np.conj(w)) @ grid.system.y_ll.toarray() @ np.diag(w)
-    assert np.max(np.abs(grid.kernel.k @ scaled - np.eye(12))) < 1e-8
+    # K is the inverse of the w-scaled admittance; the kernel keeps |K|
+    assert np.max(np.abs(grid.kernel.abs_k - np.abs(np.linalg.inv(scaled)))) < 1e-8
 
 
 def test_kernel_size_cap():
@@ -57,9 +58,59 @@ def test_kernel_size_cap():
         build_kernel(grid.factors, grid.w, size_cap=5)
 
 
-def test_row_abs_matches_abs_rows(feeder_grid):
-    k = feeder_grid.kernel
-    assert np.allclose(k.row_abs, np.abs(k.k).sum(axis=1))
+def _dense_kernel(grid):
+    """Complex K from the dense inverse: diag(1/w) y_ll^-1 diag(1/conj(w))."""
+    w = grid.w.w
+    inv = np.linalg.inv(grid.system.y_ll.toarray())
+    return inv / w[:, None] / np.conj(w)[None, :]
+
+
+def _dense_prior_conditions(k, s, p_set=(1.0, 2.0, math.inf)):
+    """The prior conditions evaluated on the complex K, row by row."""
+    lam = 1.0 / np.abs(k).max(axis=0)
+    out = []
+    for p in p_set:
+        q = math.inf if p == 1.0 else (1.0 if p == math.inf else 2.0)
+        product = np.max(np.linalg.norm(k, ord=p, axis=1)) * np.linalg.norm(s, ord=q)
+        weighted = np.max(np.linalg.norm(k * lam[None, :], ord=p, axis=1)) * (
+            np.linalg.norm(s / lam, ord=q))
+        out.append((p, product, weighted))
+    return lam, out
+
+
+def test_cached_norms_match_dense_inverse():
+    # Meshed networks with shunts and transformers: the cached weights and
+    # row norms equal those of the complex dense inverse, and the prior
+    # verdicts equal the row-by-row formula on it.
+    rng = np.random.default_rng(38)
+    verdicts = set()
+    for _ in range(40):
+        net = random_network(rng, int(rng.integers(2, 40)))
+        grid = fc.prepare_grid(net)
+        kernel = grid.kernel
+        k = _dense_kernel(grid)
+        s = scale_to_xi(kernel, random_injections(rng, net.n),
+                        rng.uniform(0.01, 0.3))
+        lam, dense = _dense_prior_conditions(k, s)
+        assert np.max(np.abs(kernel.lam - lam) / lam) < 1e-12
+        res = check_prior_conditions(kernel, s)
+        for entry, (p, product, weighted) in zip(res.detail, dense):
+            assert kernel.row_norm[p] == pytest.approx(
+                np.max(np.linalg.norm(k, ord=p, axis=1)), rel=1e-12)
+            assert kernel.weighted_row_norm[p] == pytest.approx(
+                np.max(np.linalg.norm(k * lam[None, :], ord=p, axis=1)), rel=1e-12)
+            assert entry.p == p
+            assert entry.product == pytest.approx(product, rel=1e-12)
+            assert entry.weighted_product == pytest.approx(weighted, rel=1e-12)
+            assert entry.ok == (product < 0.25)
+            assert entry.weighted_ok == (weighted < 0.25)
+        ok = any(product < 0.25 for _, product, _ in dense)
+        weighted_ok = any(weighted < 0.25 for _, _, weighted in dense)
+        assert res.bolognani_ok == ok
+        assert res.improved_ok == (ok or weighted_ok)
+        verdicts.add((res.bolognani_ok, res.improved_ok))
+    # the draw reaches both verdicts, and the weighted-only pass between them
+    assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 # --- loading measure ------------------------------------------------------------
@@ -221,7 +272,7 @@ def test_hoelder_dominance():
         p = rng.choice([1.0, 2.0, math.inf])
         q = math.inf if p == 1.0 else (1.0 if p == math.inf else 2.0)
         row_norm = np.max(
-            np.linalg.norm(grid.kernel.k * lam[None, :], ord=p, axis=1)
+            np.linalg.norm(grid.kernel.abs_k * lam[None, :], ord=p, axis=1)
         )
         bound = row_norm * np.linalg.norm(s / lam, ord=q)
         assert xi(grid.kernel, s) <= bound + 1e-12
@@ -258,6 +309,24 @@ def test_certify_merges_all_sections(feeder_grid, feeder_op, feeder_s_next):
     assert rep.bolognani_ok is False and rep.improved_ok is False
     assert rep.rho is not None  # state-aware radius since that set passed
     assert len(rep.bolognani_detail) == 3
+
+
+def test_certify_evaluates_xi_three_times(monkeypatch, feeder_grid, feeder_op,
+                                         feeder_s_next):
+    # xi(s), xi(s_hat) and xi(s - s_hat): the state-free verdict reuses xi(s)
+    calls = []
+    real = fc.certificate.xi
+
+    def counted(kernel, s):
+        calls.append(1)
+        return real(kernel, s)
+
+    monkeypatch.setattr(fc.certificate, "xi", counted)
+    rep = fc.certify(feeder_grid.kernel, feeder_s_next, w=feeder_grid.w,
+                     v_hat=feeder_op.v, s_hat=feeder_op.s)
+    assert len(calls) == 3
+    assert rep.corollary_ok == (rep.xi_s < 0.25)
+    assert rep.xi_s == real(feeder_grid.kernel, feeder_s_next)
 
 
 def test_certify_rejects_stale_operating_point(feeder_grid, feeder_op, feeder_s_next):

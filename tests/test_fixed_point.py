@@ -127,6 +127,17 @@ def test_non_convergence_reports_last_iterate(feeder_grid, feeder_s_next):
     assert err.iterate.shape == (12,)
 
 
+def test_non_finite_step_fails_at_once(feeder_grid, feeder_s_next):
+    s = feeder_s_next.copy()
+    s[3] = complex(np.nan, 0.0)
+    with pytest.raises(ConvergenceError, match="not finite") as excinfo:
+        solve_fixed_point(feeder_grid.factors, feeder_grid.w, s)
+    err = excinfo.value
+    assert err.iterations == 1
+    assert np.isnan(err.last_step)
+    assert np.array_equal(err.iterate, feeder_grid.w.w)  # the last finite iterate
+
+
 # --- contraction machinery ------------------------------------------------------
 
 

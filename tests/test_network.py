@@ -33,6 +33,26 @@ def test_parse_dangling_endpoint_rejected():
         fc.parse_network(json.dumps(doc))
 
 
+def test_build_network_names_bad_branch():
+    with pytest.raises(InvalidNetworkError, match=r"'0'->'1'.*conductance"):
+        fc.build_network(
+            [fc.Bus("0", "slack"), fc.Bus("1", "load")],
+            [fc.Branch("0", "1", "line", 0 - 5j)],
+            1.0,
+            1.0,
+        )
+
+
+def test_build_network_names_unreachable_bus():
+    with pytest.raises(InvalidNetworkError, match=r"bus '2' is not reachable"):
+        fc.build_network(
+            [fc.Bus("0", "slack"), fc.Bus("1", "load"), fc.Bus("2", "load")],
+            [fc.Branch("0", "1", "line", 1 - 2j)],
+            1.0,
+            1.0,
+        )
+
+
 def test_feeder_fixture_has_twelve_load_buses(feeder_net):
     assert feeder_net.n == 12
     assert feeder_net.is_radial

@@ -4,8 +4,8 @@ from scipy import sparse
 
 import flowcert as fc
 from flowcert.errors import SingularMatrixError
-from flowcert.sparse_lu import factorize, solve, solve_many
-from netrand import chain_network
+from flowcert.sparse_lu import factorize, solve
+from netrand import chain_network, random_tree, star_network
 
 
 def random_sparse_invertible(rng, n, density=0.15):
@@ -18,6 +18,12 @@ def random_sparse_invertible(rng, n, density=0.15):
         a[i, j] += complex(rng.normal(), rng.normal())
     a += np.diag(np.abs(a).sum(axis=1) + 1.0)
     return a
+
+
+def inverse(factors):
+    """The inverse, one solve per unit column."""
+    eye = np.eye(factors.n, dtype=complex)
+    return np.column_stack([solve(factors, e) for e in eye])
 
 
 def test_scalar_matrix():
@@ -41,7 +47,7 @@ def test_feeder_factorization_residual(feeder_grid):
     f = feeder_grid.factors
     assert f.n == 12
     assert f.fill_in_count >= 0
-    inv = solve_many(f, np.eye(12, dtype=complex))
+    inv = inverse(f)
     rel = np.linalg.norm(inv - np.linalg.inv(y)) / np.linalg.norm(np.linalg.inv(y))
     assert rel < 1e-10
 
@@ -68,29 +74,17 @@ def test_solve_matches_dense_oracle(feeder_grid):
     assert np.max(np.abs(x - np.linalg.solve(y, b))) < 1e-9
 
 
-def test_solve_many_scalar_identity():
-    y = 3 - 7j
-    f = factorize(sparse.csc_matrix(np.array([[y]])))
-    out = solve_many(f, np.eye(1, dtype=complex))
-    assert np.allclose(out, [[1 / y]])
-
-
-def test_solve_many_feeder_inverse(feeder_grid):
+def test_columnwise_solves_invert_feeder(feeder_grid):
     y = feeder_grid.system.y_ll.toarray()
-    inv = solve_many(feeder_grid.factors, np.eye(12, dtype=complex))
+    inv = inverse(feeder_grid.factors)
     assert np.max(np.abs(y @ inv - np.eye(12))) < 1e-9
-
-
-def test_solve_many_empty_rhs(feeder_grid):
-    out = solve_many(feeder_grid.factors, np.empty((12, 0), dtype=complex))
-    assert out.shape == (12, 0)
 
 
 def test_dimension_mismatch_rejected(feeder_grid):
     with pytest.raises(ValueError, match="shape"):
         solve(feeder_grid.factors, np.zeros(5, dtype=complex))
     with pytest.raises(ValueError, match="shape"):
-        solve_many(feeder_grid.factors, np.zeros((5, 2), dtype=complex))
+        solve(feeder_grid.factors, np.zeros((12, 2), dtype=complex))
 
 
 def test_equivalence_with_dense_oracle_on_random_matrices():
@@ -99,7 +93,7 @@ def test_equivalence_with_dense_oracle_on_random_matrices():
         n = int(rng.integers(2, 31))
         a = random_sparse_invertible(rng, n)
         f = factorize(sparse.csc_matrix(a))
-        inv = solve_many(f, np.eye(n, dtype=complex))
+        inv = inverse(f)
         assert np.linalg.norm(a @ inv - np.eye(n)) / np.sqrt(n) < 1e-10
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert np.max(np.abs(solve(f, b) - np.linalg.solve(a, b))) < 1e-9
@@ -112,7 +106,7 @@ def test_factors_unchanged_by_solves(feeder_grid):
     rhs = [rng.normal(size=12) + 1j * rng.normal(size=12) for _ in range(5)]
     first = [solve(f, b) for b in rhs]
     for b, x in zip(rhs, first):
-        solve_many(f, rng.normal(size=(12, 3)) + 0j)
+        solve(f, rng.normal(size=12) + 0j)
         assert np.array_equal(solve(f, b), x)
 
 
@@ -123,6 +117,32 @@ def test_radial_chain_fill_is_linear(n):
     assert f.fill_in_count <= 4 * n
     w = solve(f, -sys.y_l0)
     assert np.max(np.abs(w - 1)) < 1e-8
+
+
+def test_trees_factor_with_zero_fill():
+    # Symmetric mode keeps diagonal pivots in a minimum-degree order, which
+    # eliminates a tree leaf first, so L and U hold exactly its edges; the
+    # random trees carry shunts and transformers.
+    rng = np.random.default_rng(15)
+    nets = [random_tree(rng, int(rng.integers(2, 300))) for _ in range(30)]
+    nets += [chain_network(500), star_network(500)]
+    for net in nets:
+        sys = fc.build_admittance(net)
+        f = factorize(sys.y_ll)
+        assert f.fill_in_count == 0
+        b = rng.normal(size=net.n) + 1j * rng.normal(size=net.n)
+        x = np.linalg.solve(sys.y_ll.toarray(), b)
+        assert np.max(np.abs(solve(f, b) - x)) < 1e-9 * max(1.0, np.max(np.abs(x)))
+
+
+def test_indefinite_hermitian_part_counter_example():
+    # Outside the precondition a diagonal pivot can vanish: this matrix is
+    # well conditioned (cond 2.6), but its Hermitian part is indefinite and
+    # the second diagonal pivot is 1e-20, below PIVOT_FLOOR.
+    a = np.array([[1.0, 1.0], [1.0, 1e-20]], dtype=complex)
+    assert np.linalg.cond(a) < 3
+    with pytest.raises(SingularMatrixError, match="pivot"):
+        factorize(sparse.csc_matrix(a))
 
 
 def test_singular_matrix_raises():

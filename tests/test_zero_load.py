@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 import flowcert as fc
 from flowcert.errors import DegenerateNetworkError
-from flowcert.zero_load import ZeroLoadProfile, compute_w, denormalize, normalize, u_min
-from netrand import random_network
+from flowcert.zero_load import ZeroLoadProfile, compute_w, u_min
 
 
 def test_lines_only_profile_is_unity(feeder_grid):
@@ -61,23 +60,6 @@ def test_unit_ratio_transformers_no_shunts_give_unity():
     net = fc.build_network(buses, branches, 1.0, 1.0)
     grid = fc.prepare_grid(net, with_kernel=False)
     assert np.max(np.abs(grid.w.w - 1)) < 1e-10
-
-
-def test_normalize_examples(feeder_grid):
-    w = feeder_grid.w
-    assert np.allclose(normalize(w.w, w), 1.0)
-    assert np.array_equal(normalize(np.zeros(12, dtype=complex), w), np.zeros(12))
-
-
-def test_normalize_denormalize_round_trip():
-    # complex multiply-then-divide cannot round-trip bitwise; a few ulp is
-    # the attainable contract
-    rng = np.random.default_rng(22)
-    net = random_network(rng, 8)
-    grid = fc.prepare_grid(net, with_kernel=False)
-    u = rng.normal(size=8) + 1j * rng.normal(size=8)
-    back = normalize(denormalize(u, grid.w), grid.w)
-    assert np.max(np.abs(back - u)) <= 1e-14 * np.max(np.abs(u))
 
 
 def test_u_min_examples(feeder_grid):
