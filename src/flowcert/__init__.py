@@ -12,6 +12,7 @@ from .admittance import AdmittanceSystem, build_admittance, full_admittance
 from .certificate import (
     CertificateReport,
     KernelMatrix,
+    LoadingLimits,
     SolutionBall,
     build_kernel,
     certify,
@@ -19,11 +20,12 @@ from .certificate import (
     check_prior_conditions,
     check_theorem,
     corollary_condition,
+    loading_limits,
     solution_ball,
     theorem_conditions,
     xi,
 )
-from .continuation import SweepResult, bisect_boundary, sweep, sweep_table
+from .continuation import SweepResult, sweep, sweep_table
 from .errors import (
     ConvergenceError,
     DegenerateNetworkError,

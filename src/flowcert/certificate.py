@@ -43,8 +43,11 @@ from .zero_load import ZeroLoadProfile
 KERNEL_SIZE_CAP = 5000  # the kernel is dense; refuse O(n^2) blowups beyond this
 CONTAINMENT_SLACK = 1e-9
 MISMATCH_TOL = 1e-6  # p.u. power mismatch allowed of a supplied operating point
-
-P_SET_DEFAULT = (1.0, 2.0, math.inf)
+# Every state-free condition compares a loading measure with this value.
+LOADING_THRESHOLD = 0.25
+# Hoelder pairs (p, q) of the prior conditions: the kernel caches row
+# p-norms for exactly these p, each met by the q-norm of s.
+CONJUGATE_EXPONENT = {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class KernelMatrix:
     matvec each).  ``lam`` holds the canonical column weights
     lambda_j = 1 / max_h |K_hj|.  ``row_norm[p]`` and
     ``weighted_row_norm[p]`` are the max row p-norms of |K| and of
-    |K| diag(lambda) for p in P_SET_DEFAULT; a complex row and its
+    |K| diag(lambda) for each p of CONJUGATE_EXPONENT; a complex row and its
     magnitudes have the same p-norm, so they are those of K and of
     K diag(lambda) as well.
     """
@@ -118,23 +121,19 @@ class SolutionBall:
         )
 
 
-def build_kernel(
-    factors: LuFactors,
-    w: ZeroLoadProfile,
-    size_cap: int = KERNEL_SIZE_CAP,
-) -> KernelMatrix:
+def build_kernel(factors: LuFactors, w: ZeroLoadProfile) -> KernelMatrix:
     """Materialize |K| for K = diag(1/w) y_ll^-1 diag(1/conj(w)).
 
     Column j of y_ll^-1 comes from one sparse solve against the j-th unit
     vector and is kept only as its magnitudes, so the complex inverse is
     never held.  The column weights and the max row p-norms are computed
-    here once.  |K| is O(n^2) memory, so networks above ``size_cap`` are
-    refused outright.
+    here once.  |K| is O(n^2) memory, so networks above KERNEL_SIZE_CAP
+    are refused before anything is allocated.
     """
     n = factors.n
-    if n > size_cap:
+    if n > KERNEL_SIZE_CAP:
         raise ValueError(
-            f"kernel for n={n} exceeds the size cap {size_cap}; "
+            f"kernel for n={n} exceeds the size cap {KERNEL_SIZE_CAP}; "
             f"the dense kernel is quadratic in memory"
         )
     abs_k_t = np.empty((n, n))  # row j holds column j of |K|
@@ -189,7 +188,7 @@ def theorem_conditions(
 
 def corollary_condition(xi_s: float) -> tuple[bool, float | None]:
     """State-free condition xi(s) < 1/4 and its ball radius."""
-    if xi_s < 0.25:
+    if xi_s < LOADING_THRESHOLD:
         return True, (1.0 - math.sqrt(1.0 - 4.0 * xi_s)) / 2.0
     return False, None
 
@@ -226,16 +225,6 @@ def check_corollary(kernel: KernelMatrix, s: np.ndarray) -> CertificateReport:
     return CertificateReport(xi_s=xi_s, corollary_ok=ok, rho=rho)
 
 
-def _conjugate_exponent(p: float) -> float:
-    if p == 1.0:
-        return math.inf
-    if p == math.inf:
-        return 1.0
-    if p == 2.0:
-        return 2.0
-    raise ValueError(f"unsupported Hoelder exponent p={p}; use 1, 2 or inf")
-
-
 @dataclass(frozen=True)
 class PriorConditions:
     """Any-p verdicts plus the per-p detail for both earlier conditions."""
@@ -245,12 +234,8 @@ class PriorConditions:
     detail: tuple[PriorConditionEntry, ...]
 
 
-def check_prior_conditions(
-    kernel: KernelMatrix,
-    s: np.ndarray,
-    p_set=P_SET_DEFAULT,
-) -> PriorConditions:
-    """Evaluate the two earlier sufficient conditions over ``p_set``.
+def check_prior_conditions(kernel: KernelMatrix, s: np.ndarray) -> PriorConditions:
+    """Evaluate the two earlier sufficient conditions at p = 1, 2 and inf.
 
     The plain test is ||K||_p^* ||s||_q < 1/4 with ||A||_p^* the max row
     p-norm; the refined test additionally allows any real diagonal
@@ -266,8 +251,7 @@ def check_prior_conditions(
     abs_s = np.abs(np.asarray(s, dtype=complex))
     scaled_s = abs_s / kernel.lam
     entries = []
-    for p in p_set:
-        q = _conjugate_exponent(p)
+    for p, q in CONJUGATE_EXPONENT.items():
         product = kernel.row_norm[p] * float(np.linalg.norm(abs_s, ord=q))
         weighted = kernel.weighted_row_norm[p] * float(
             np.linalg.norm(scaled_s, ord=q)
@@ -276,9 +260,9 @@ def check_prior_conditions(
             PriorConditionEntry(
                 p=float(p),
                 product=product,
-                ok=product < 0.25,
+                ok=product < LOADING_THRESHOLD,
                 weighted_product=weighted,
-                weighted_ok=weighted < 0.25,
+                weighted_ok=weighted < LOADING_THRESHOLD,
             )
         )
     bolognani_ok = any(e.ok for e in entries)
@@ -286,6 +270,42 @@ def check_prior_conditions(
         bolognani_ok=bolognani_ok,
         improved_ok=bolognani_ok or any(e.weighted_ok for e in entries),
         detail=tuple(entries),
+    )
+
+
+@dataclass(frozen=True)
+class LoadingLimits:
+    """Scales t at which each state-free condition stops holding on t * d.
+
+    A condition holds for 0 <= t < its limit; the limit is inf when the
+    direction carries no load.
+    """
+
+    corollary: float
+    prior: float
+    improved: float
+
+
+def loading_limits(kernel: KernelMatrix, direction: np.ndarray) -> LoadingLimits:
+    """Closed-form loading limits of the state-free conditions along a ray.
+
+    Every state-free condition compares an absolutely homogeneous measure
+    g of s with LOADING_THRESHOLD, so on s = t * d it holds for
+    t < LOADING_THRESHOLD / g(d): g is xi for the corollary, the best
+    plain row-norm product for the prior condition, and the best plain or
+    weighted product for the improved one.
+    """
+    priors = check_prior_conditions(kernel, direction)
+    plain = min(e.product for e in priors.detail)
+    weighted = min(e.weighted_product for e in priors.detail)
+
+    def limit(g: float) -> float:
+        return LOADING_THRESHOLD / g if g > 0.0 else math.inf
+
+    return LoadingLimits(
+        corollary=limit(xi(kernel, direction)),
+        prior=limit(plain),
+        improved=limit(min(plain, weighted)),
     )
 
 
@@ -311,7 +331,6 @@ def certify(
     w: ZeroLoadProfile | None = None,
     v_hat: np.ndarray | None = None,
     s_hat: np.ndarray | None = None,
-    p_set=P_SET_DEFAULT,
     system=None,
 ) -> CertificateReport:
     """Run every applicable condition set and merge into one report.
@@ -332,7 +351,7 @@ def certify(
         report = replace(report, corollary_ok=corollary_condition(report.xi_s)[0])
     else:
         report = check_corollary(kernel, s)
-    priors = check_prior_conditions(kernel, s, p_set)
+    priors = check_prior_conditions(kernel, s)
     return replace(
         report,
         bolognani_ok=priors.bolognani_ok,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import certificate as cert
 from . import report as reportfmt
-from .admittance import build_admittance, full_admittance
+from .admittance import full_admittance
 from .continuation import sweep, sweep_table
 from .errors import ConvergenceError, InvalidNetworkError, VoltageCollapseError
 from .fixed_point import solve_fixed_point
@@ -163,8 +163,6 @@ def run_solve(config: RunConfig) -> int:
 
 def run_sweep(config: RunConfig) -> int:
     net, s, op = _load_inputs(config)
-    if op is not None:
-        cert.check_operating_point(build_admittance(net), op.v, op.s)
     result = sweep(
         net,
         s,

@@ -2,11 +2,12 @@
 
 Injections are scaled along a fixed ray, s = (kappa / base) * d with d
 the unit-1-norm per-unit direction, so the horizontal axis is the total
-apparent power kappa in MVA.  Every condition set is evaluated at each
-grid point; because the loading measure is absolutely homogeneous, the
-state-free masks are prefix-true in kappa and their boundaries are
-sharpened by bisection.  The state-aware mask is an interval around the
-operating point's own loading kappa_hat and is bracketed on both sides.
+apparent power kappa in MVA.  Because the loading measure is absolutely
+homogeneous, each state-free condition holds exactly below a closed-form
+boundary (`certificate.loading_limits`), which gives its mask as well.
+The state-aware mask is evaluated at every grid point; it is an interval
+around the operating point's own loading kappa_hat, whose ends are
+bracketed by bisection.
 
 Optionally the plain fixed-point iteration is attempted at every grid
 point (uncertified, from the zero-load profile) to record where it
@@ -27,16 +28,19 @@ from .pipeline import prepare_grid
 from .zero_load import u_min as u_min_of
 
 DEFAULT_STEPS = 512
+THEOREM_RTOL = 1e-6  # width of the final theorem-end bracket, relative to kappa_max
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Masks, boundary estimates and the ray used for one sweep.
+    """Masks, boundaries and the ray used for one sweep.
 
     Masks are boolean per grid point; ``theorem_mask`` is None without
     an operating point and ``fp_converged`` is None when the empirical
-    solver pass was skipped.  Boundary estimates are in MVA; None means
-    no transition inside [0, kappa_max].
+    solver pass was skipped.  Boundaries are in MVA; None means no
+    transition inside [0, kappa_max].  The state-free boundaries are
+    closed forms; each theorem end passes its condition and lies within
+    THEOREM_RTOL * kappa_max of a failing loading beyond it.
     """
 
     kappa_grid: np.ndarray
@@ -53,26 +57,6 @@ class SweepResult:
     prior_boundary: float | None
 
 
-def bisect_boundary(condition, lo: float, hi: float, tol: float) -> float:
-    """Locate the flip point of a monotone boolean condition on [lo, hi].
-
-    Requires condition(lo) != condition(hi); returns the bracket
-    midpoint once the bracket is narrower than ``tol``.
-    """
-    c_lo = condition(lo)
-    if c_lo == condition(hi):
-        raise ValueError(
-            f"invalid bracket: condition is {c_lo} at both {lo} and {hi}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if condition(mid) == c_lo:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def sweep(
     net: NetworkDescription,
     injections: np.ndarray,
@@ -80,17 +64,16 @@ def sweep(
     kappa_max: float = 20.0,
     steps: int = DEFAULT_STEPS,
     *,
-    p_set=cert.P_SET_DEFAULT,
     run_fixed_point: bool = True,
     fp_tol: float = 1e-9,
     fp_max_iter: int = 100,
-    bisect_tol: float | None = None,
 ) -> SweepResult:
     """Sweep all condition sets along the ray defined by ``injections``.
 
     ``injections`` is the per-unit profile whose direction is scaled;
-    with an operating point, the state-aware conditions are evaluated
-    against its (v_hat, s_hat) at every grid point.
+    with an operating point, which must solve the load-flow equations
+    (`certificate.check_operating_point`), the state-aware conditions
+    are evaluated against its (v_hat, s_hat) at every grid point.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
@@ -102,29 +85,18 @@ def sweep(
         raise ValueError("injection profile is identically zero; no ray")
     direction = injections / total
     base = net.power_base
-    if bisect_tol is None:
-        bisect_tol = 1e-6 * kappa_max
 
-    grid = prepare_grid(net, with_kernel=True)
+    grid = prepare_grid(net)
+    if operating_point is not None:
+        cert.check_operating_point(grid.system, operating_point.v, operating_point.s)
     kernel = grid.kernel
     kappa_grid = np.linspace(0.0, kappa_max, steps)
 
     def s_at(kappa: float) -> np.ndarray:
         return (kappa / base) * direction
 
-    def corollary_at(kappa: float) -> bool:
-        return cert.corollary_condition(cert.xi(kernel, s_at(kappa)))[0]
-
-    def prior_at(kappa: float) -> bool:
-        return cert.check_prior_conditions(kernel, s_at(kappa), p_set).bolognani_ok
-
-    def improved_at(kappa: float) -> bool:
-        return cert.check_prior_conditions(kernel, s_at(kappa), p_set).improved_ok
-
-    corollary_mask = np.array([corollary_at(k) for k in kappa_grid])
-    priors = [cert.check_prior_conditions(kernel, s_at(k), p_set) for k in kappa_grid]
-    prior_mask = np.array([p.bolognani_ok for p in priors])
-    improved_mask = np.array([p.improved_ok for p in priors])
+    # s_at is linear in kappa, so the limits along s_at(1) are in MVA
+    limits = cert.loading_limits(kernel, s_at(1.0))
 
     theorem_mask = None
     theorem_interval = None
@@ -142,9 +114,7 @@ def sweep(
                                            u_min=u_min_val)[0]
 
         theorem_mask = np.array([theorem_at(k) for k in kappa_grid])
-        theorem_interval = _theorem_interval(
-            theorem_at, kappa_hat, kappa_max, bisect_tol
-        )
+        theorem_interval = _theorem_interval(theorem_at, kappa_hat, kappa_max)
 
     fp_converged = None
     if run_fixed_point:
@@ -160,41 +130,50 @@ def sweep(
                 flags.append(False)
         fp_converged = np.array(flags)
 
+    def boundary(limit: float) -> float | None:
+        return limit if limit <= kappa_max else None
+
     return SweepResult(
         kappa_grid=kappa_grid,
         direction=direction,
         theorem_mask=theorem_mask,
-        corollary_mask=corollary_mask,
-        improved_mask=improved_mask,
-        prior_mask=prior_mask,
+        corollary_mask=kappa_grid < limits.corollary,
+        improved_mask=kappa_grid < limits.improved,
+        prior_mask=kappa_grid < limits.prior,
         fp_converged=fp_converged,
         kappa_hat=kappa_hat,
         theorem_interval=theorem_interval,
-        corollary_boundary=_prefix_boundary(corollary_at, kappa_max, bisect_tol),
-        improved_boundary=_prefix_boundary(improved_at, kappa_max, bisect_tol),
-        prior_boundary=_prefix_boundary(prior_at, kappa_max, bisect_tol),
+        corollary_boundary=boundary(limits.corollary),
+        improved_boundary=boundary(limits.improved),
+        prior_boundary=boundary(limits.prior),
     )
 
 
-def _prefix_boundary(condition, kappa_max: float, tol: float) -> float | None:
-    """Flip point of a pass-at-zero condition, None if none in range."""
-    if condition(kappa_max):
-        return None
-    return bisect_boundary(condition, 0.0, kappa_max, tol)
+def _theorem_interval(passes, kappa_hat, kappa_max):
+    """Feasible interval around kappa_hat, clipped to [0, kappa_max].
 
-
-def _theorem_interval(condition, kappa_hat, kappa_max, tol):
-    """Feasible interval around kappa_hat, clipped to [0, kappa_max]."""
+    Each end that falls inside the range is bisected until its bracket is no
+    wider than THEOREM_RTOL * kappa_max, and the bracket's passing side
+    is returned, so every reported end passes the condition itself.
+    """
     anchor = min(kappa_hat, kappa_max)
-    if not condition(anchor):
+    if not passes(anchor):
         return None
-    lo = 0.0 if condition(0.0) else bisect_boundary(condition, 0.0, anchor, tol)
-    hi = (
-        kappa_max
-        if condition(kappa_max)
-        else bisect_boundary(condition, anchor, kappa_max, tol)
-    )
-    return (lo, hi)
+    tol = THEOREM_RTOL * kappa_max
+
+    def end(outer: float) -> float:
+        if passes(outer):
+            return outer
+        inner = anchor
+        while abs(outer - inner) > tol:
+            mid = 0.5 * (inner + outer)
+            if passes(mid):
+                inner = mid
+            else:
+                outer = mid
+        return inner
+
+    return (end(0.0), end(kappa_max))
 
 
 def sweep_table(result: SweepResult) -> str:

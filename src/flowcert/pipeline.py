@@ -13,24 +13,22 @@ from .zero_load import ZeroLoadProfile, compute_w
 
 @dataclass(frozen=True)
 class PreparedGrid:
-    """Admittance system, factors, zero-load profile and (optionally)
-    the dense certificate kernel for one network."""
+    """Admittance system, factors, zero-load profile and the dense
+    certificate kernel for one network."""
 
     net: NetworkDescription
     system: AdmittanceSystem
     factors: LuFactors
     w: ZeroLoadProfile
-    kernel: KernelMatrix | None
+    kernel: KernelMatrix
 
 
 def prepare_grid(
-    net: NetworkDescription,
-    slack_voltage: complex = 1 + 0j,
-    with_kernel: bool = True,
+    net: NetworkDescription, slack_voltage: complex = 1 + 0j
 ) -> PreparedGrid:
     """Build everything downstream solvers need, factorizing once."""
     system = build_admittance(net, slack_voltage)
     factors = factorize(system.y_ll)
     w = compute_w(system, factors)
-    kernel = build_kernel(factors, w) if with_kernel else None
+    kernel = build_kernel(factors, w)
     return PreparedGrid(net=net, system=system, factors=factors, w=w, kernel=kernel)

@@ -158,7 +158,7 @@ def test_criterion_5_oracle_equivalence():
     step = 1e-7
     for _ in range(20):
         net = random_network(rng, int(rng.integers(2, 8)))
-        grid = fc.prepare_grid(net, with_kernel=False)
+        grid = fc.prepare_grid(net)
         n = net.n
         s = random_injections(rng, n)
         v = 1.0 + 0.1 * (rng.normal(size=n) + 1j * rng.normal(size=n))

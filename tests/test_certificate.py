@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 import flowcert as fc
 from flowcert.certificate import (
-    build_kernel,
     check_corollary,
     check_prior_conditions,
     check_theorem,
@@ -17,7 +16,7 @@ from flowcert.certificate import (
     theorem_conditions,
     xi,
 )
-from netrand import random_injections, random_network, scale_to_xi
+from netrand import chain_network, random_injections, random_network, scale_to_xi
 
 # --- kernel -------------------------------------------------------------------
 
@@ -50,12 +49,16 @@ def test_kernel_identity_product():
     assert np.max(np.abs(grid.kernel.abs_k - np.abs(np.linalg.inv(scaled)))) < 1e-8
 
 
-def test_kernel_size_cap():
-    rng = np.random.default_rng(32)
-    net = random_network(rng, 6)
-    grid = fc.prepare_grid(net, with_kernel=False)
+def test_kernel_size_cap(monkeypatch):
+    # One bus past the cap is refused before the n x n kernel is
+    # allocated or any of its column solves runs.
+    net = chain_network(fc.certificate.KERNEL_SIZE_CAP + 1)
+    column_solves = []
+    monkeypatch.setattr(fc.certificate, "solve",
+                        lambda *args: column_solves.append(1))
     with pytest.raises(ValueError, match="size cap"):
-        build_kernel(grid.factors, grid.w, size_cap=5)
+        fc.prepare_grid(net)
+    assert column_solves == []
 
 
 def _dense_kernel(grid):
@@ -254,11 +257,6 @@ def test_priors_fail_whenever_xi_critical():
                         rng.uniform(0.25, 2.0))
         res = check_prior_conditions(grid.kernel, s)
         assert not res.bolognani_ok and not res.improved_ok
-
-
-def test_invalid_p_rejected(feeder_grid):
-    with pytest.raises(ValueError, match="exponent"):
-        check_prior_conditions(feeder_grid.kernel, np.zeros(12), p_set=(3.0,))
 
 
 def test_hoelder_dominance():

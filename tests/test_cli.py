@@ -166,22 +166,29 @@ def test_sweep_table_is_monotone_and_nested(tmp_path):
 
 
 def test_sweep_with_operating_point_factorizes_once(tmp_path, monkeypatch):
-    real = fc.sparse_lu.factorize
-    calls = []
+    # The operating point is checked on the system the sweep builds, so
+    # the admittance is assembled and factorized once.
+    calls = {"build_admittance": [], "factorize": []}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            calls[name].append(1)
+            return real(*args, **kwargs)
+        return counted
 
-    for module in list(sys.modules.values()):
-        if (module.__name__ or "").startswith("flowcert") and \
-                getattr(module, "factorize", None) is real:
-            monkeypatch.setattr(module, "factorize", counted)
+    for name, real in (("build_admittance", fc.admittance.build_admittance),
+                       ("factorize", fc.sparse_lu.factorize)):
+        wrapped = counting(name, real)
+        for module in list(sys.modules.values()):
+            if (module.__name__ or "").startswith("flowcert") and \
+                    getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapped)
     code = run(["sweep", "--network", NETWORK, "--injections", S_BASE,
                 "--operating-point", OP, "--steps", "8",
                 "--out", str(tmp_path / "sweep.csv")])
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls["build_admittance"]) == 1
+    assert len(calls["factorize"]) == 1
 
 
 def test_dump_matrix_coordinates(tmp_path, feeder_net):

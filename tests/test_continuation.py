@@ -1,28 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import flowcert as fc
-from flowcert.continuation import bisect_boundary, sweep, sweep_table
+from flowcert.certificate import check_prior_conditions, corollary_condition
+from flowcert.continuation import sweep, sweep_table
 from netrand import random_injections, random_network
-
-
-def test_bisect_simple_threshold():
-    got = bisect_boundary(lambda k: k < 1.0, 0.0, 2.0, tol=1e-6)
-    assert got == pytest.approx(1.0, abs=1e-6)
-
-
-@settings(deadline=None, max_examples=30)
-@given(cut=st.floats(min_value=0.05, max_value=9.95))
-def test_bisect_arbitrary_threshold(cut):
-    got = bisect_boundary(lambda k: k < cut, 0.0, 10.0, tol=1e-9)
-    assert got == pytest.approx(cut, abs=1e-8)
-
-
-def test_bisect_invalid_bracket():
-    with pytest.raises(ValueError, match="invalid bracket"):
-        bisect_boundary(lambda k: True, 0.0, 1.0, tol=1e-6)
 
 
 def small_sweep(feeder_net, feeder_s_hat, op=None, **kw):
@@ -94,6 +76,96 @@ def test_theorem_interval_brackets_mask(feeder_net, feeder_s_hat, feeder_op):
     assert last_true <= hi <= last_true + step
 
 
+def test_theorem_interval_ends_pass_their_condition(
+    feeder_net, feeder_grid, feeder_s_hat, feeder_op
+):
+    # Each interior end passes the state-aware condition itself, and the
+    # loading one bracket width (1e-6 kappa_max) farther out fails it.
+    kernel = feeder_grid.kernel
+    xi_s_hat = fc.xi(kernel, feeder_op.s)
+    u_min = fc.u_min(feeder_op.v, feeder_grid.w)
+    direction = feeder_s_hat / np.sum(np.abs(feeder_s_hat))
+
+    def passes(kappa):
+        s = (kappa / feeder_net.power_base) * direction
+        return fc.theorem_conditions(xi_s_hat, fc.xi(kernel, s - feeder_op.s),
+                                     u_min)[0]
+
+    interior = 0
+    for kappa_max in range(5, 41):
+        result = small_sweep(feeder_net, feeder_s_hat, feeder_op,
+                             kappa_max=float(kappa_max), steps=8)
+        if result.theorem_interval is None:
+            assert not passes(kappa_max)  # kappa_hat lies past the range
+            continue
+        tol = 1e-6 * kappa_max
+        lo, hi = result.theorem_interval
+        for end, beyond in ((lo, lo - tol), (hi, hi + tol)):
+            if 0.0 < end < kappa_max:
+                interior += 1
+                assert passes(end)
+                assert not passes(beyond)
+    assert interior == 61
+
+
+def _closed_form_limits(kernel, ray):
+    """Each state-free condition's loading measure g at ``ray``, from its
+    definition: xi, and the best plain and best weighted norm products."""
+    dual = {1.0: np.inf, 2.0: 2.0, np.inf: 1.0}
+    plain = min(kernel.row_norm[p] * np.linalg.norm(np.abs(ray), ord=q)
+                for p, q in dual.items())
+    weighted = min(kernel.weighted_row_norm[p]
+                   * np.linalg.norm(np.abs(ray) / kernel.lam, ord=q)
+                   for p, q in dual.items())
+    return {"corollary": fc.xi(kernel, ray), "prior": plain,
+            "improved": min(plain, weighted)}
+
+
+def test_closed_form_boundaries_and_masks(feeder_net, feeder_s_hat):
+    rng = np.random.default_rng(67)
+    cases = [(feeder_net, feeder_s_hat)]
+    for _ in range(12):
+        net = random_network(rng, int(rng.integers(2, 15)))
+        cases.append((net, random_injections(rng, net.n)))
+    for net, ray in cases:
+        kernel = fc.prepare_grid(net).kernel
+        g = _closed_form_limits(kernel, ray)
+        base = net.power_base
+        want = {name: 0.25 * base * np.sum(np.abs(ray)) / value
+                for name, value in g.items()}
+        # the range ends past every boundary, so each one is reported
+        result = sweep(net, ray, kappa_max=1.5 * max(want.values()), steps=200,
+                       run_fixed_point=False)
+        for name in want:
+            got = getattr(result, f"{name}_boundary")
+            assert got == pytest.approx(want[name], rel=1e-12)
+        for i, kappa in enumerate(result.kappa_grid):
+            s = (kappa / base) * result.direction
+            priors = check_prior_conditions(kernel, s)
+            direct = {
+                "corollary": corollary_condition(fc.xi(kernel, s))[0],
+                "prior": priors.bolognani_ok,
+                "improved": priors.improved_ok,
+            }
+            for name, ok in direct.items():
+                if abs(kappa - want[name]) > 1e-9 * want[name]:
+                    assert getattr(result, f"{name}_mask")[i] == ok, (name, kappa)
+
+
+def test_boundaries_past_the_range_are_none(feeder_net, feeder_s_hat):
+    result = small_sweep(feeder_net, feeder_s_hat, kappa_max=0.01)
+    assert result.corollary_boundary is None
+    assert result.improved_boundary is None
+    assert result.prior_boundary is None
+    assert result.corollary_mask.all() and result.prior_mask.all()
+
+
+def test_stale_operating_point_rejected(feeder_net, feeder_s_hat, feeder_op):
+    stale = fc.OperatingPoint(v=1.01 * feeder_op.v, s=feeder_op.s)
+    with pytest.raises(fc.InvalidNetworkError, match="operating point"):
+        small_sweep(feeder_net, feeder_s_hat, stale)
+
+
 def test_empirical_convergence_where_corollary_passes(feeder_net, feeder_s_hat):
     result = sweep(feeder_net, feeder_s_hat, kappa_max=8.0, steps=24,
                    run_fixed_point=True)
@@ -104,6 +176,8 @@ def test_empirical_convergence_where_corollary_passes(feeder_net, feeder_s_hat):
 def test_sweep_evaluates_prior_conditions_once_per_point(
     feeder_net, feeder_s_hat, monkeypatch
 ):
+    # The state-free boundaries and masks come from one closed-form
+    # evaluation at the ray, so the count per grid point is 1 / steps.
     real = fc.certificate.check_prior_conditions
     calls = []
 
@@ -112,11 +186,10 @@ def test_sweep_evaluates_prior_conditions_once_per_point(
         return real(*args, **kwargs)
 
     monkeypatch.setattr(fc.certificate, "check_prior_conditions", counted)
-    n = 16
-    small_sweep(feeder_net, feeder_s_hat, steps=n)
-    with_n = len(calls)
-    small_sweep(feeder_net, feeder_s_hat, steps=2 * n)
-    assert len(calls) - with_n - with_n == n
+    for steps in (2, 16, 257):
+        calls.clear()
+        small_sweep(feeder_net, feeder_s_hat, steps=steps)
+        assert len(calls) == 1
 
 
 def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat):

@@ -42,7 +42,7 @@ def test_mismatch_matches_branchwise_oracle():
     rng = np.random.default_rng(51)
     for _ in range(10):
         net = random_network(rng, int(rng.integers(2, 12)))
-        grid = fc.prepare_grid(net, with_kernel=False)
+        grid = fc.prepare_grid(net)
         v = 1.0 + 0.1 * (rng.normal(size=net.n) + 1j * rng.normal(size=net.n))
         s = random_injections(rng, net.n)
         v_full = np.concatenate([[grid.system.slack_voltage], v])
@@ -56,7 +56,7 @@ def test_jacobian_matches_finite_differences():
     step = 1e-7
     for _ in range(4):
         net = random_network(rng, int(rng.integers(2, 8)))
-        grid = fc.prepare_grid(net, with_kernel=False)
+        grid = fc.prepare_grid(net)
         n = net.n
         s = random_injections(rng, n)
         for _ in range(5):  # 20 random points overall

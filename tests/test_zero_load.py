@@ -22,7 +22,7 @@ def test_transformer_profile_matches_dense_oracle():
         1.0,
         1.0,
     )
-    grid = fc.prepare_grid(net, with_kernel=False)
+    grid = fc.prepare_grid(net)
     dense = np.linalg.solve(
         grid.system.y_ll.toarray(), -grid.system.y_l0 * grid.system.slack_voltage
     )
@@ -36,7 +36,7 @@ def test_capacitive_shunt_raises_voltage():
         1.0,
         1.0,
     )
-    grid = fc.prepare_grid(net, with_kernel=False)
+    grid = fc.prepare_grid(net)
     dense = np.linalg.solve(grid.system.y_ll.toarray(), -grid.system.y_l0)
     assert abs(grid.w.w[0]) > 1
     assert np.max(np.abs(grid.w.w - dense)) < 1e-12
@@ -58,7 +58,7 @@ def test_unit_ratio_transformers_no_shunts_give_unity():
         kind = "transformer" if i % 2 else "line"
         branches.append(fc.Branch(str(i - 1), str(i), kind, y, 1 + 0j))
     net = fc.build_network(buses, branches, 1.0, 1.0)
-    grid = fc.prepare_grid(net, with_kernel=False)
+    grid = fc.prepare_grid(net)
     assert np.max(np.abs(grid.w.w - 1)) < 1e-10
 
 
