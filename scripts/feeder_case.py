@@ -34,10 +34,7 @@ def main() -> None:
     print(f"network: {net.n} load buses, radial={net.is_radial}, "
           f"base {net.power_base} MVA / {net.voltage_base} kV")
 
-    report = fc.certify(
-        grid.kernel, s_next, w=grid.w, v_hat=op.v, s_hat=op.s,
-        system=grid.system,
-    )
+    report = fc.certify(grid.kernel, s_next, w=grid.w, v_hat=op.v, s_hat=op.s)
     print("\ncertificate for the next setpoint:")
     print(f"  xi(s_hat)     = {report.xi_s_hat:.4f}")
     print(f"  xi(s - s_hat) = {report.xi_delta_s:.4f}")

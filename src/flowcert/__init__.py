@@ -16,10 +16,7 @@ from .certificate import (
     SolutionBall,
     build_kernel,
     certify,
-    check_corollary,
     check_prior_conditions,
-    check_theorem,
-    corollary_condition,
     loading_limits,
     solution_ball,
     theorem_conditions,

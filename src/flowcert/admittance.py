@@ -89,13 +89,10 @@ def full_admittance(net: NetworkDescription) -> sparse.csc_matrix:
     return coo.tocsc()
 
 
-def build_admittance(
-    net: NetworkDescription, slack_voltage: complex = 1 + 0j
-) -> AdmittanceSystem:
-    """Assemble and partition the admittance matrix for ``net``."""
+def build_admittance(net: NetworkDescription) -> AdmittanceSystem:
+    """Assemble and partition the admittance matrix for ``net``, with the
+    slack at 1 p.u."""
     y = full_admittance(net)
     y_ll = y[1:, 1:].tocsc()
     y_l0 = np.asarray(y[1:, 0].todense()).ravel()
-    return AdmittanceSystem(
-        y_ll=y_ll, y_l0=y_l0, slack_voltage=complex(slack_voltage), n=net.n
-    )
+    return AdmittanceSystem(y_ll=y_ll, y_l0=y_l0, slack_voltage=1 + 0j, n=net.n)

@@ -7,7 +7,7 @@ vector: the loading measure
 
 where K is the normalized inverse-admittance kernel
 diag(1/w) @ y_ll^-1 @ diag(1/conj(w)).  Two certificate families are
-evaluated on top of it:
+evaluated on top of it, both by the one formula `theorem_conditions`:
 
 * the state-aware check, which takes a known operating point
   (v_hat, s_hat) and a candidate injection s and requires
@@ -15,10 +15,13 @@ evaluated on top of it:
   delta = (u_min - xi(s_hat)/u_min)^2 - 4 xi(s - s_hat); on success the
   unique solution lies within rho |w_i| of v_hat per coordinate, with
   rho = ((u_min - xi(s_hat)/u_min) - sqrt(delta)) / 2, and the plain
-  fixed-point iteration converges to it from anywhere in that ball;
+  fixed-point iteration converges to it from anywhere in that ball.
+  The check is a proof only when (v_hat, s_hat) solves the load-flow
+  equations, so `certify` always verifies the pair first;
 
-* the state-free check xi(s) < 1/4, the special case v_hat = w,
-  s_hat = 0, with rho = (1 - sqrt(1 - 4 xi(s))) / 2.
+* the state-free check, the same theorem at the zero-load point
+  v_hat = w, s_hat = 0, u_min = 1: delta = 1 - 4 xi(s), so it holds
+  exactly when xi(s) < 1/4, with rho = (1 - sqrt(1 - 4 xi(s))) / 2.
 
 For comparison, two earlier sufficient conditions are evaluated as
 well: the row-norm product test ||K||_p^* ||s||_q < 1/4 over Hoelder
@@ -35,15 +38,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .admittance import AdmittanceSystem
 from .errors import InvalidNetworkError
 from .newton import power_mismatch
 from .sparse_lu import LuFactors, solve
-from .zero_load import ZeroLoadProfile
+from .zero_load import ZeroLoadProfile, u_min as u_min_of
 
 KERNEL_SIZE_CAP = 5000  # the kernel is dense; refuse O(n^2) blowups beyond this
 CONTAINMENT_SLACK = 1e-9
 MISMATCH_TOL = 1e-6  # p.u. power mismatch allowed of a supplied operating point
-# Every state-free condition compares a loading measure with this value.
+# The theorem's bound on xi(s - s_hat) at the zero-load point,
+# (u_min - xi(s_hat)/u_min)^2 / 4 with u_min = 1 and s_hat = 0: the prior
+# conditions and the loading limits compare their loading measures with it.
 LOADING_THRESHOLD = 0.25
 # Hoelder pairs (p, q) of the prior conditions: the kernel caches row
 # p-norms for exactly these p, each met by the q-norm of s.
@@ -60,9 +66,11 @@ class KernelMatrix:
     ``weighted_row_norm[p]`` are the max row p-norms of |K| and of
     |K| diag(lambda) for each p of CONJUGATE_EXPONENT; a complex row and its
     magnitudes have the same p-norm, so they are those of K and of
-    K diag(lambda) as well.
+    K diag(lambda) as well.  ``system`` is the admittance system the
+    kernel was built from, on which `certify` checks operating points.
     """
 
+    system: AdmittanceSystem
     abs_k: np.ndarray
     lam: np.ndarray
     row_norm: dict[float, float]
@@ -114,21 +122,24 @@ class SolutionBall:
     radii: np.ndarray
     rho: float
 
-    def contains(self, v: np.ndarray, slack: float = CONTAINMENT_SLACK) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         return bool(
             np.all(np.abs(np.asarray(v, dtype=complex) - self.center)
-                   <= self.radii + slack)
+                   <= self.radii + CONTAINMENT_SLACK)
         )
 
 
-def build_kernel(factors: LuFactors, w: ZeroLoadProfile) -> KernelMatrix:
+def build_kernel(
+    system: AdmittanceSystem, factors: LuFactors, w: ZeroLoadProfile
+) -> KernelMatrix:
     """Materialize |K| for K = diag(1/w) y_ll^-1 diag(1/conj(w)).
 
     Column j of y_ll^-1 comes from one sparse solve against the j-th unit
     vector and is kept only as its magnitudes, so the complex inverse is
     never held.  The column weights and the max row p-norms are computed
-    here once.  |K| is O(n^2) memory, so networks above KERNEL_SIZE_CAP
-    are refused before anything is allocated.
+    here once, and ``system`` (which ``factors`` factorize) is kept for
+    operating-point checks.  |K| is O(n^2) memory, so networks above
+    KERNEL_SIZE_CAP are refused before anything is allocated.
     """
     n = factors.n
     if n > KERNEL_SIZE_CAP:
@@ -158,7 +169,7 @@ def build_kernel(factors: LuFactors, w: ZeroLoadProfile) -> KernelMatrix:
         # max_ij |K_ij| lambda_j: each column's largest entry times its weight
         math.inf: float(np.max(col_max * lam)),
     }
-    return KernelMatrix(abs_k=abs_k, lam=lam, row_norm=row_norm,
+    return KernelMatrix(system=system, abs_k=abs_k, lam=lam, row_norm=row_norm,
                         weighted_row_norm=weighted_row_norm)
 
 
@@ -184,45 +195,6 @@ def theorem_conditions(
         return False, delta, None
     rho = ((u_min - xi_s_hat / u_min) - math.sqrt(delta)) / 2.0
     return True, delta, rho
-
-
-def corollary_condition(xi_s: float) -> tuple[bool, float | None]:
-    """State-free condition xi(s) < 1/4 and its ball radius."""
-    if xi_s < LOADING_THRESHOLD:
-        return True, (1.0 - math.sqrt(1.0 - 4.0 * xi_s)) / 2.0
-    return False, None
-
-
-def check_theorem(
-    kernel: KernelMatrix,
-    u_min: float,
-    s_hat: np.ndarray,
-    s: np.ndarray,
-) -> CertificateReport:
-    """State-aware certificate for candidate s given operating data.
-
-    The caller is responsible for (v_hat, s_hat) actually solving the
-    load-flow equations; `certify` offers a residual check.
-    """
-    xi_s_hat = xi(kernel, s_hat)
-    xi_delta_s = xi(kernel, np.asarray(s) - np.asarray(s_hat))
-    ok, delta, rho = theorem_conditions(xi_s_hat, xi_delta_s, u_min)
-    return CertificateReport(
-        xi_s=xi(kernel, s),
-        xi_s_hat=xi_s_hat,
-        xi_delta_s=xi_delta_s,
-        u_min=u_min,
-        delta=delta,
-        rho=rho,
-        theorem_ok=ok,
-    )
-
-
-def check_corollary(kernel: KernelMatrix, s: np.ndarray) -> CertificateReport:
-    """State-free certificate: no operating point required."""
-    xi_s = xi(kernel, s)
-    ok, rho = corollary_condition(xi_s)
-    return CertificateReport(xi_s=xi_s, corollary_ok=ok, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -309,7 +281,9 @@ def loading_limits(kernel: KernelMatrix, direction: np.ndarray) -> LoadingLimits
     )
 
 
-def check_operating_point(system, v_hat: np.ndarray, s_hat: np.ndarray) -> None:
+def check_operating_point(
+    system: AdmittanceSystem, v_hat: np.ndarray, s_hat: np.ndarray
+) -> None:
     """Reject an operating pair that does not solve the load-flow equations.
 
     Raises InvalidNetworkError when the largest power mismatch of
@@ -331,26 +305,29 @@ def certify(
     w: ZeroLoadProfile | None = None,
     v_hat: np.ndarray | None = None,
     s_hat: np.ndarray | None = None,
-    system=None,
 ) -> CertificateReport:
     """Run every applicable condition set and merge into one report.
 
-    The state-aware conditions are evaluated when (v_hat, s_hat, w) are
-    all supplied; passing ``system`` additionally verifies the operating
-    pair with `check_operating_point`.  ``rho`` in the merged report
-    comes from the state-aware set when evaluated, else from the
-    state-free one.
+    The state-free verdict is always evaluated.  An operating point needs
+    all of ``w``, ``v_hat`` and ``s_hat``; the pair is verified on
+    ``kernel.system`` with `check_operating_point` before the state-aware
+    conditions are evaluated.  ``rho`` in the merged report comes from
+    the state-aware set when evaluated, else from the state-free one.
     """
-    if v_hat is not None and s_hat is not None and w is not None:
-        if system is not None:
-            check_operating_point(system, v_hat, s_hat)
-        from .zero_load import u_min as u_min_of
-
-        report = check_theorem(kernel, u_min_of(v_hat, w), s_hat, s)
-        # the state-free verdict reuses the theorem's xi(s)
-        report = replace(report, corollary_ok=corollary_condition(report.xi_s)[0])
-    else:
-        report = check_corollary(kernel, s)
+    given = [x is not None for x in (w, v_hat, s_hat)]
+    if any(given) and not all(given):
+        raise ValueError("an operating point needs all of w, v_hat and s_hat")
+    xi_s = xi(kernel, s)
+    ok, _, rho = theorem_conditions(0.0, xi_s, 1.0)
+    report = CertificateReport(xi_s=xi_s, corollary_ok=ok, rho=rho)
+    if all(given):
+        check_operating_point(kernel.system, v_hat, s_hat)
+        u_min = u_min_of(v_hat, w)
+        xi_s_hat = xi(kernel, s_hat)
+        xi_delta_s = xi(kernel, np.asarray(s) - np.asarray(s_hat))
+        ok, delta, rho = theorem_conditions(xi_s_hat, xi_delta_s, u_min)
+        report = replace(report, xi_s_hat=xi_s_hat, xi_delta_s=xi_delta_s,
+                         u_min=u_min, delta=delta, rho=rho, theorem_ok=ok)
     priors = check_prior_conditions(kernel, s)
     return replace(
         report,

@@ -1,37 +1,36 @@
 """Command-line front end: ingest, certify, solve, sweep, dump.
 
+`check` and `solve` certify through one path: `certificate.certify`,
+which verifies a given operating point before evaluating the
+state-aware conditions, and evaluates the state-free ones without it.
+The parser holds every option default; the runners read its namespace.
+
 Exit codes: 0 success / requested condition passed, 1 requested
-condition failed, 2 input or parse error, 3 solver non-convergence.
-Human diagnostics go to stderr; output files carry all machine data.
+condition failed, 2 input or parse error (a singular or degenerate
+network included), 3 solver non-convergence.  Human diagnostics go to
+stderr; output files carry all machine data.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import certificate as cert
 from . import report as reportfmt
 from .admittance import full_admittance
 from .continuation import sweep, sweep_table
-from .errors import ConvergenceError, InvalidNetworkError, VoltageCollapseError
+from .errors import (
+    ConvergenceError,
+    DegenerateNetworkError,
+    InvalidNetworkError,
+    SingularMatrixError,
+    VoltageCollapseError,
+)
 from .fixed_point import solve_fixed_point
 from .network import load_injections, load_network, load_operating_point
 from .pipeline import prepare_grid
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    network_path: Path
-    injection_path: Path | None
-    operating_point_path: Path | None
-    tol: float
-    max_iter: int
-    kappa_max: float
-    steps: int
-    output_path: Path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,115 +75,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        network_path=Path(args.network),
-        injection_path=Path(args.injections) if getattr(args, "injections", None) else None,
-        operating_point_path=(
-            Path(args.operating_point)
-            if getattr(args, "operating_point", None)
-            else None
-        ),
-        tol=getattr(args, "tol", 1e-9),
-        max_iter=getattr(args, "max_iter", 200),
-        kappa_max=getattr(args, "kappa_max", 20.0),
-        steps=getattr(args, "steps", 512),
-        output_path=Path(args.out),
-    )
-
-
-def _load_inputs(config: RunConfig):
+def _load_inputs(args: argparse.Namespace):
     """Parse every input file before any numeric work starts."""
-    net = load_network(config.network_path)
-    s = (
-        load_injections(net, config.injection_path)
-        if config.injection_path is not None
-        else None
-    )
-    op = (
-        load_operating_point(net, config.operating_point_path)
-        if config.operating_point_path is not None
-        else None
-    )
+    net = load_network(Path(args.network))
+    injections = getattr(args, "injections", None)
+    s = load_injections(net, Path(injections)) if injections else None
+    op_path = getattr(args, "operating_point", None)
+    op = load_operating_point(net, Path(op_path)) if op_path else None
     return net, s, op
 
 
-def run_check(config: RunConfig) -> int:
-    net, s, op = _load_inputs(config)
-    grid = prepare_grid(net)
-    if op is not None:
-        report = cert.certify(
-            grid.kernel, s, w=grid.w, v_hat=op.v, s_hat=op.s, system=grid.system
-        )
-        passed = bool(report.theorem_ok)
-    else:
+def _certify(grid, s, op):
+    """Certify ``s``, against ``op`` when given.
+
+    Returns the report, the verdict of the condition set evaluated and
+    its solution ball (None on a fail).
+    """
+    if op is None:
         report = cert.certify(grid.kernel, s)
-        passed = bool(report.corollary_ok)
+        passed, center = bool(report.corollary_ok), grid.w.w
+    else:
+        report = cert.certify(grid.kernel, s, w=grid.w, v_hat=op.v, s_hat=op.s)
+        passed, center = bool(report.theorem_ok), op.v
+    ball = cert.solution_ball(report, center, grid.w) if passed else None
+    return report, passed, ball
+
+
+def run_check(args: argparse.Namespace) -> int:
+    net, s, op = _load_inputs(args)
+    report, passed, _ = _certify(prepare_grid(net), s, op)
     doc = reportfmt.certificate_document(report)
-    config.output_path.write_text(reportfmt.render_document(doc), encoding="utf-8")
+    Path(args.out).write_text(reportfmt.render_document(doc), encoding="utf-8")
     return 0 if passed else 1
 
 
-def run_solve(config: RunConfig) -> int:
-    net, s, op = _load_inputs(config)
+def run_solve(args: argparse.Namespace) -> int:
+    net, s, op = _load_inputs(args)
     grid = prepare_grid(net)
-    ball = None
-    if op is not None:
-        report = cert.certify(
-            grid.kernel, s, w=grid.w, v_hat=op.v, s_hat=op.s, system=grid.system
-        )
-        if report.theorem_ok:
-            ball = cert.solution_ball(report, op.v, grid.w)
-    else:
-        report = cert.certify(grid.kernel, s)
-        if report.corollary_ok:
-            ball = cert.solution_ball(report, grid.w.w, grid.w)
+    _, _, ball = _certify(grid, s, op)
     try:
         result = solve_fixed_point(
-            grid.factors,
-            grid.w,
-            s,
-            tol=config.tol,
-            max_iter=config.max_iter,
-            ball=ball,
+            grid.factors, grid.w, s, tol=args.tol, max_iter=args.max_iter, ball=ball
         )
     except (ConvergenceError, VoltageCollapseError) as exc:
         print(f"flowcert solve: {exc}", file=sys.stderr)
         doc = reportfmt.failed_solve_document(exc, net)
-        config.output_path.write_text(
-            reportfmt.render_document(doc), encoding="utf-8"
-        )
+        Path(args.out).write_text(reportfmt.render_document(doc), encoding="utf-8")
         return 3
     doc = reportfmt.solve_document(result, net)
-    config.output_path.write_text(reportfmt.render_document(doc), encoding="utf-8")
+    Path(args.out).write_text(reportfmt.render_document(doc), encoding="utf-8")
     return 0
 
 
-def run_sweep(config: RunConfig) -> int:
-    net, s, op = _load_inputs(config)
+def run_sweep(args: argparse.Namespace) -> int:
+    net, s, op = _load_inputs(args)
     result = sweep(
         net,
         s,
         operating_point=op,
-        kappa_max=config.kappa_max,
-        steps=config.steps,
-        fp_tol=config.tol,
-        fp_max_iter=config.max_iter,
+        kappa_max=args.kappa_max,
+        steps=args.steps,
+        fp_tol=args.tol,
+        fp_max_iter=args.max_iter,
     )
-    config.output_path.write_text(sweep_table(result), encoding="utf-8")
+    Path(args.out).write_text(sweep_table(result), encoding="utf-8")
     return 0
 
 
-def run_dump_matrix(config: RunConfig) -> int:
-    net, _, _ = _load_inputs(config)
+def run_dump_matrix(args: argparse.Namespace) -> int:
+    net, _, _ = _load_inputs(args)
     coo = full_admittance(net).tocoo()
     entries = sorted(zip(coo.row, coo.col, coo.data), key=lambda e: (e[0], e[1]))
     lines = [
         f"{int(i)} {int(j)} {format(v.real, '.17g')} {format(v.imag, '.17g')}"
         for i, j, v in entries
     ]
-    config.output_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 
@@ -198,11 +164,11 @@ _RUNNERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        return _RUNNERS[config.subcommand](config)
-    except (InvalidNetworkError, OSError, ValueError) as exc:
-        print(f"flowcert {config.subcommand}: {exc}", file=sys.stderr)
+        return _RUNNERS[args.subcommand](args)
+    except (InvalidNetworkError, OSError, ValueError,
+            SingularMatrixError, DegenerateNetworkError) as exc:
+        print(f"flowcert {args.subcommand}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -121,10 +121,8 @@ def sweep(
         flags = []
         for kappa in kappa_grid:
             try:
-                solve_fixed_point(
-                    grid.factors, grid.w, s_at(kappa),
-                    v0=grid.w.w, tol=fp_tol, max_iter=fp_max_iter,
-                )
+                solve_fixed_point(grid.factors, grid.w, s_at(kappa),
+                                  tol=fp_tol, max_iter=fp_max_iter)
                 flags.append(True)
             except (ConvergenceError, VoltageCollapseError):
                 flags.append(False)

@@ -70,30 +70,27 @@ def solve_fixed_point(
     factors: LuFactors,
     w: ZeroLoadProfile,
     s: np.ndarray,
-    v0: np.ndarray | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     ball: SolutionBall | None = None,
 ) -> SolveResult:
-    """Iterate to the fixed point, starting from ``v0``.
+    """Iterate to the fixed point from the certificate ball's center, or
+    from the zero-load profile when no ball is given.
 
-    The default start is the certificate ball center when one is given,
-    else the zero-load profile.  Convergence requires the normalized
-    step ||(v_next - v)/w||_inf to drop below ``tol``; the reported
-    residual ||v - G(v)||_{w,inf} is then below 10*tol as well.  Runs
-    without a ball are permitted (certified=False) so callers can map
-    convergence behaviour empirically, but carry no guarantee fields.
+    Convergence requires the normalized step ||(v_next - v)/w||_inf to
+    drop below ``tol``; the reported residual ||v - G(v)||_{w,inf} is
+    then below 10*tol as well.  Runs without a ball are permitted
+    (certified=False) so callers can map convergence behaviour
+    empirically, but carry no guarantee fields.
 
     Raises ConvergenceError (with the last iterate attached) after
     ``max_iter`` steps or at the first step that is not finite (a NaN or
     infinite injection), or VoltageCollapseError if an iterate
     degenerates.
     """
-    if v0 is None:
-        v0 = ball.center if ball is not None else w.w
-    v = np.asarray(v0, dtype=complex).copy()
+    v = (ball.center if ball is not None else w.w).copy()
     if v.shape != w.w.shape:
-        raise ValueError(f"start point has shape {v.shape}, expected {w.w.shape}")
+        raise ValueError(f"ball center has shape {v.shape}, expected {w.w.shape}")
     steps: list[float] = []
     for iteration in range(1, max_iter + 1):
         v_next = iterate_once(factors, w, s, v)

@@ -23,12 +23,10 @@ class PreparedGrid:
     kernel: KernelMatrix
 
 
-def prepare_grid(
-    net: NetworkDescription, slack_voltage: complex = 1 + 0j
-) -> PreparedGrid:
+def prepare_grid(net: NetworkDescription) -> PreparedGrid:
     """Build everything downstream solvers need, factorizing once."""
-    system = build_admittance(net, slack_voltage)
+    system = build_admittance(net)
     factors = factorize(system.y_ll)
     w = compute_w(system, factors)
-    kernel = build_kernel(factors, w)
+    kernel = build_kernel(system, factors, w)
     return PreparedGrid(net=net, system=system, factors=factors, w=w, kernel=kernel)

@@ -1,57 +1,28 @@
 """Deterministic report documents.
 
-Reports are JSON with every float rendered at 17 significant digits, so
-identical inputs produce byte-identical documents on any platform with
-IEEE-754 doubles.  Infinities (Hoelder exponents) are rendered as the
-strings "inf"/"-inf" since JSON has no literal for them.
+Reports are JSON written by the standard library: every float is its
+shortest round-trip representation, so identical inputs produce
+byte-identical documents on any platform with IEEE-754 doubles, and
+each float parses back to the same value.  JSON has no literal for
+infinity, so the one infinite value a report carries, the Hoelder
+exponent p = inf, is written as the string "inf" where the document is
+built; any other non-finite value is refused by `render_document`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 SCHEMA_VERSION = "flowcert-report/1"
 
 
-def _render(value, indent: int) -> str:
-    pad = "  " * indent
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return '"inf"' if value > 0 else '"-inf"'
-        if math.isnan(value):
-            raise ValueError("refusing to serialize NaN into a report")
-        return format(value, ".17g")
-    if isinstance(value, str):
-        import json
-
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  "{key}": {_render(val, indent + 1)}'
-            for key, val in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(
-            f"{pad}  {_render(item, indent + 1)}" for item in value
-        )
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
-
-
 def render_document(doc: dict) -> str:
-    """Render a report dict as deterministic JSON text."""
-    return _render(doc, 0) + "\n"
+    """Render a report dict as deterministic JSON text.
+
+    Raises ValueError on a NaN or infinite value.
+    """
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def certificate_document(report) -> dict:
@@ -60,7 +31,7 @@ def certificate_document(report) -> dict:
     if report.bolognani_detail is not None:
         detail = [
             {
-                "p": entry.p,
+                "p": "inf" if entry.p == math.inf else entry.p,
                 "product": entry.product,
                 "ok": entry.ok,
                 "weighted_product": entry.weighted_product,
@@ -109,7 +80,10 @@ def solve_document(result, net) -> dict:
 
 
 def failed_solve_document(error, net) -> dict:
-    """Report dict for a solve that ran out of iterations or collapsed."""
+    """Report dict for a solve that ran out of iterations or collapsed.
+
+    A step that is not finite is left out; the error message names it.
+    """
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "solve",
@@ -120,7 +94,7 @@ def failed_solve_document(error, net) -> dict:
     last_step = getattr(error, "last_step", None)
     if iterations is not None:
         doc["iterations"] = iterations
-    if last_step is not None:
+    if last_step is not None and math.isfinite(last_step):
         doc["final_step"] = float(last_step)
     iterate = getattr(error, "iterate", None)
     if iterate is not None:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import flowcert as fc
-from flowcert.certificate import corollary_condition, theorem_conditions
+from flowcert.certificate import theorem_conditions
 from flowcert.continuation import sweep
 from flowcert.fixed_point import iterate_once, solve_fixed_point
 from flowcert.newton import mismatch_jacobian, power_mismatch, solve_newton
@@ -43,7 +43,7 @@ def certified_networks():
         s = scale_to_xi(
             grid.kernel, random_injections(rng, net.n), rng.uniform(0.08, 0.22)
         )
-        report = fc.check_corollary(grid.kernel, s)
+        report = fc.certify(grid.kernel, s)
         assert report.corollary_ok
         cases.append((net, grid, s, report))
     return cases
@@ -52,7 +52,8 @@ def certified_networks():
 def test_criterion_1_certificate_arithmetic():
     ok, _, rho = theorem_conditions(0.5692, 0.0164, 1.0050)
     pass_ok = ok and abs(rho - 0.0412) <= 5e-4
-    cor_ok, cor_rho = corollary_condition(0.5770)
+    # the state-free condition is the theorem at the zero-load point
+    cor_ok, _, cor_rho = theorem_conditions(0.0, 0.5770, 1.0)
     _verdict(
         1,
         pass_ok and not cor_ok and cor_rho is None,
@@ -68,7 +69,6 @@ def test_criterion_2_feeder_scenario(feeder_grid, feeder_op, feeder_s_next):
         w=feeder_grid.w,
         v_hat=feeder_op.v,
         s_hat=feeder_op.s,
-        system=feeder_grid.system,
     )
     in_band = 0.3 <= report.xi_s_hat <= 0.7
     stronger = report.theorem_ok and report.xi_s > 0.25 and not report.corollary_ok
@@ -126,7 +126,7 @@ def test_criterion_4_hoelder_dominance_and_nesting(certified_networks):
         for scale in (0.3, 0.7, 1.0, 1.5, 3.0, rng.uniform(0.1, 5.0)):
             priors = fc.check_prior_conditions(grid.kernel, scale * s)
             if priors.bolognani_ok or priors.improved_ok:
-                if not fc.check_corollary(grid.kernel, scale * s).corollary_ok:
+                if not fc.certify(grid.kernel, scale * s).corollary_ok:
                     violations += 1
         # mask nesting across a full 512-point sweep
         result = sweep(net, s, kappa_max=10.0, steps=512, run_fixed_point=False)
@@ -204,7 +204,7 @@ def test_criterion_6_scalar_closed_form():
         )
         grid = fc.prepare_grid(net)
         s = np.array([complex(s_val)])
-        assert fc.check_corollary(grid.kernel, s).corollary_ok
+        assert fc.certify(grid.kernel, s).corollary_ok
         res = solve_fixed_point(grid.factors, grid.w, s, tol=1e-13)
         root = (1.0 + np.sqrt(1.0 + 4.0 * s_val / y)) / 2.0
         worst = max(worst, abs(res.v[0] - root))

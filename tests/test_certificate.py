@@ -8,10 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import flowcert as fc
 from flowcert.certificate import (
-    check_corollary,
     check_prior_conditions,
-    check_theorem,
-    corollary_condition,
     solution_ball,
     theorem_conditions,
     xi,
@@ -188,37 +185,36 @@ def test_theorem_conditions_strict_at_boundary():
 
 
 def test_corollary_condition_arithmetic():
-    ok, rho = corollary_condition(0.5770)
+    # the state-free condition is the theorem at the zero-load point
+    ok, _, rho = theorem_conditions(0.0, 0.5770, 1.0)
     assert not ok and rho is None
-    ok, rho = corollary_condition(0.0)
+    ok, _, rho = theorem_conditions(0.0, 0.0, 1.0)
     assert ok and rho == 0.0
-    ok, rho = corollary_condition(0.2)
+    ok, _, rho = theorem_conditions(0.0, 0.2, 1.0)
     assert ok
     assert rho == pytest.approx((1 - math.sqrt(0.2)) / 2, rel=1e-15)
 
 
-def test_check_theorem_and_corollary_reports(feeder_grid, feeder_op, feeder_s_next):
-    from flowcert.zero_load import u_min
+def _state_aware(grid, op, s):
+    return fc.certify(grid.kernel, s, w=grid.w, v_hat=op.v, s_hat=op.s)
 
-    kernel = feeder_grid.kernel
-    um = u_min(feeder_op.v, feeder_grid.w)
-    rep = check_theorem(kernel, um, feeder_op.s, feeder_s_next)
+
+def test_check_theorem_and_corollary_reports(feeder_grid, feeder_op, feeder_s_next):
+    rep = _state_aware(feeder_grid, feeder_op, feeder_s_next)
     assert rep.theorem_ok
-    assert rep.rho is not None and 0 < rep.rho < um
+    assert rep.rho is not None and 0 < rep.rho < rep.u_min
     assert rep.xi_s_hat == pytest.approx(0.5, abs=1e-9)
 
-    cor = check_corollary(kernel, feeder_s_next)
+    cor = fc.certify(feeder_grid.kernel, feeder_s_next)
     assert not cor.corollary_ok and cor.rho is None
     assert cor.xi_s > 0.25
+    assert cor.theorem_ok is None and cor.delta is None
 
 
 def test_report_booleans_recomputable(feeder_grid, feeder_op, feeder_s_next):
-    from flowcert.zero_load import u_min
-
-    um = u_min(feeder_op.v, feeder_grid.w)
-    rep = check_theorem(feeder_grid.kernel, um, feeder_op.s, feeder_s_next)
+    rep = _state_aware(feeder_grid, feeder_op, feeder_s_next)
     assert rep.theorem_ok == (rep.xi_s_hat < rep.u_min**2 and rep.delta > 0)
-    cor = check_corollary(feeder_grid.kernel, feeder_s_next)
+    cor = fc.certify(feeder_grid.kernel, feeder_s_next)
     assert cor.corollary_ok == (cor.xi_s < 0.25)
 
 
@@ -287,7 +283,7 @@ def test_prior_pass_implies_corollary_pass():
         res = check_prior_conditions(grid.kernel, s)
         if res.bolognani_ok or res.improved_ok:
             checked += 1
-            assert check_corollary(grid.kernel, s).corollary_ok
+            assert fc.certify(grid.kernel, s).corollary_ok
     assert checked > 5
 
 
@@ -301,7 +297,6 @@ def test_certify_merges_all_sections(feeder_grid, feeder_op, feeder_s_next):
         w=feeder_grid.w,
         v_hat=feeder_op.v,
         s_hat=feeder_op.s,
-        system=feeder_grid.system,
     )
     assert rep.theorem_ok and not rep.corollary_ok
     assert rep.bolognani_ok is False and rep.improved_ok is False
@@ -328,6 +323,8 @@ def test_certify_evaluates_xi_three_times(monkeypatch, feeder_grid, feeder_op,
 
 
 def test_certify_rejects_stale_operating_point(feeder_grid, feeder_op, feeder_s_next):
+    # The kernel carries its admittance system, so the pair is checked on
+    # every state-aware call, including the one a controller makes.
     bad_v = feeder_op.v * 1.05
     with pytest.raises(ValueError, match="mismatch"):
         fc.certify(
@@ -336,15 +333,46 @@ def test_certify_rejects_stale_operating_point(feeder_grid, feeder_op, feeder_s_
             w=feeder_grid.w,
             v_hat=bad_v,
             s_hat=feeder_op.s,
-            system=feeder_grid.system,
         )
 
 
-def test_solution_ball_membership(feeder_grid, feeder_op, feeder_s_next):
-    from flowcert.zero_load import u_min
+@pytest.mark.parametrize("missing", ["w", "v_hat", "s_hat"])
+def test_certify_rejects_partial_operating_point(feeder_grid, feeder_op,
+                                                 feeder_s_next, missing):
+    full = {"w": feeder_grid.w, "v_hat": feeder_op.v, "s_hat": feeder_op.s}
+    for given in (
+        {key: value for key, value in full.items() if key != missing},
+        {missing: full[missing]},
+    ):
+        with pytest.raises(ValueError, match="all of w, v_hat and s_hat"):
+            fc.certify(feeder_grid.kernel, feeder_s_next, **given)
 
-    um = u_min(feeder_op.v, feeder_grid.w)
-    rep = check_theorem(feeder_grid.kernel, um, feeder_op.s, feeder_s_next)
+
+def test_state_free_verdict_is_exact_at_the_threshold():
+    # On a unit line with the slack at 1 p.u., |K| = [[1]] and xi(s) = |s|
+    # exactly: each x below reaches the verdict bit for bit.
+    net = fc.build_network(
+        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
+        [fc.Branch("0", "1", "line", 1 + 0j)],
+        1.0,
+        1.0,
+    )
+    kernel = fc.prepare_grid(net).kernel
+    assert kernel.abs_k[0, 0] == 1.0
+    edge = [0.0, 0.25, math.nextafter(0.25, 1.0), math.nextafter(0.25, 0.0)]
+    rng = np.random.default_rng(39)
+    for x in edge + list(rng.uniform(0.0, 0.5, 200)):
+        rep = fc.certify(kernel, np.array([complex(x)]))
+        assert rep.xi_s == x
+        assert rep.corollary_ok == (x < 0.25)
+        if x < 0.25:
+            assert rep.rho == (1.0 - math.sqrt(1.0 - 4.0 * x)) / 2.0
+        else:
+            assert rep.rho is None
+
+
+def test_solution_ball_membership(feeder_grid, feeder_op, feeder_s_next):
+    rep = _state_aware(feeder_grid, feeder_op, feeder_s_next)
     ball = solution_ball(rep, feeder_op.v, feeder_grid.w)
     assert ball.contains(feeder_op.v)
     pushed = feeder_op.v.copy()
@@ -369,6 +397,6 @@ def test_solution_ball_reference_radius():
 
 
 def test_solution_ball_requires_pass(feeder_grid, feeder_s_next):
-    rep = check_corollary(feeder_grid.kernel, feeder_s_next)
+    rep = fc.certify(feeder_grid.kernel, feeder_s_next)
     with pytest.raises(ValueError, match="failed certificate"):
         solution_ball(rep, feeder_grid.w.w, feeder_grid.w)

@@ -218,6 +218,45 @@ def test_missing_file_is_input_error(tmp_path, capsys):
     assert capsys.readouterr().err != ""
 
 
+@pytest.mark.parametrize("subcommand", ["check", "solve"])
+def test_singular_network_is_input_error(tmp_path, capsys, subcommand):
+    # build_network accepts a vanishing branch; the factorization refuses it
+    net_doc = {
+        "bases": {"power_mva": 1.0, "voltage_kv": 1.0},
+        "buses": [{"id": "0", "kind": "slack"}, {"id": "1", "kind": "load"}],
+        "branches": [{"from": "0", "to": "1", "kind": "line", "g": 1e-20, "b": 0.0}],
+    }
+    net_path = tmp_path / "net.json"
+    net_path.write_text(json.dumps(net_doc))
+    inj_path = tmp_path / "inj.json"
+    inj_path.write_text(
+        json.dumps({"injections": [{"bus": "1", "p_mw": 0.1, "q_mvar": 0.0}]})
+    )
+    code = run([subcommand, "--network", str(net_path), "--injections",
+                str(inj_path), "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "singular" in err and err.count("\n") == 1
+
+
+def test_non_finite_step_writes_failed_document(tmp_path, capsys):
+    # An injection this large makes the first step NaN: the solve fails
+    # with exit 3 and a document that leaves the step out.
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"injections": [
+        {"bus": "6", "p_mw": 1e307, "q_mvar": 1e307}
+    ]}))
+    out = tmp_path / "solve.json"
+    with np.errstate(all="ignore"):
+        code = run(["solve", "--network", NETWORK, "--injections", str(huge),
+                    "--out", str(out)])
+    assert code == 3
+    assert "not finite" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["iterations"] == 1
+    assert "final_step" not in doc
+
+
 def test_garbage_network_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import flowcert as fc
-from flowcert.certificate import check_prior_conditions, corollary_condition
+from flowcert.certificate import check_prior_conditions, theorem_conditions
 from flowcert.continuation import sweep, sweep_table
 from netrand import random_injections, random_network
 
@@ -143,7 +143,7 @@ def test_closed_form_boundaries_and_masks(feeder_net, feeder_s_hat):
             s = (kappa / base) * result.direction
             priors = check_prior_conditions(kernel, s)
             direct = {
-                "corollary": corollary_condition(fc.xi(kernel, s))[0],
+                "corollary": theorem_conditions(0.0, fc.xi(kernel, s), 1.0)[0],
                 "prior": priors.bolognani_ok,
                 "improved": priors.improved_ok,
             }

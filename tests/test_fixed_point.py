@@ -65,7 +65,7 @@ def test_scalar_real_case_matches_quadratic_oracle():
         # keep the loading certifiable: xi = |s| / y for unit w
         s_val = rng.uniform(-0.2, 0.24) * y
         s = np.array([complex(s_val)])
-        if not fc.check_corollary(grid.kernel, s).corollary_ok:
+        if not fc.certify(grid.kernel, s).corollary_ok:
             continue
         res = solve_fixed_point(grid.factors, grid.w, s, tol=1e-13)
         assert abs(res.v[0] - quadratic_root(1.0, y, s_val)) < 1e-10
@@ -86,10 +86,8 @@ def test_residual_within_ten_tol(feeder_grid, feeder_s_next):
 
 
 def test_containment_checks(feeder_grid, feeder_op, feeder_s_next):
-    from flowcert.zero_load import u_min
-
-    um = u_min(feeder_op.v, feeder_grid.w)
-    rep = fc.check_theorem(feeder_grid.kernel, um, feeder_op.s, feeder_s_next)
+    rep = fc.certify(feeder_grid.kernel, feeder_s_next, w=feeder_grid.w,
+                     v_hat=feeder_op.v, s_hat=feeder_op.s)
     ball = fc.solution_ball(rep, feeder_op.v, feeder_grid.w)
     res = solve_fixed_point(feeder_grid.factors, feeder_grid.w, feeder_s_next,
                             ball=ball)
@@ -102,19 +100,16 @@ def test_containment_checks(feeder_grid, feeder_op, feeder_s_next):
 
 
 def test_default_start_is_ball_center(feeder_grid, feeder_op, feeder_s_next):
-    from flowcert.zero_load import u_min
-
-    um = u_min(feeder_op.v, feeder_grid.w)
-    rep = fc.check_theorem(feeder_grid.kernel, um, feeder_op.s, feeder_s_next)
+    rep = fc.certify(feeder_grid.kernel, feeder_s_next, w=feeder_grid.w,
+                     v_hat=feeder_op.v, s_hat=feeder_op.s)
     ball = fc.solution_ball(rep, feeder_op.v, feeder_grid.w)
-    from_center = solve_fixed_point(
-        feeder_grid.factors, feeder_grid.w, feeder_s_next, ball=ball
-    )
-    explicit = solve_fixed_point(
-        feeder_grid.factors, feeder_grid.w, feeder_s_next, v0=feeder_op.v, ball=ball
-    )
-    assert np.array_equal(from_center.v, explicit.v)
-    assert from_center.iterations == explicit.iterations
+    res = solve_fixed_point(feeder_grid.factors, feeder_grid.w, feeder_s_next,
+                            ball=ball)
+    # the first step is taken from the ball's center, v_hat
+    first = iterate_once(feeder_grid.factors, feeder_grid.w, feeder_s_next,
+                         feeder_op.v)
+    assert res.step_history[0] == np.max(np.abs((first - feeder_op.v)
+                                                / feeder_grid.w.w))
 
 
 def test_non_convergence_reports_last_iterate(feeder_grid, feeder_s_next):
@@ -151,7 +146,7 @@ def certified_setup(rng, n_load=10, target_xi=0.18):
     net = random_network(rng, n_load)
     grid = fc.prepare_grid(net)
     s = scale_to_xi(grid.kernel, random_injections(rng, net.n), target_xi)
-    rep = fc.check_corollary(grid.kernel, s)
+    rep = fc.certify(grid.kernel, s)
     assert rep.corollary_ok
     return grid, s, rep
 
