@@ -32,6 +32,7 @@ def main() -> None:
     grid = fc.prepare_grid(net)
 
     print(f"network: {net.n} load buses, radial={net.is_radial}, "
+          f"kernel={grid.kernel.path}, "
           f"base {net.power_base} MVA / {net.voltage_base} kV")
 
     report = fc.certify(grid.kernel, s_next, w=grid.w, v_hat=op.v, s_hat=op.s)

@@ -29,14 +29,49 @@ pairs (p, q), and its column-scaled refinement with the diagonal
 weights lambda_k = 1 / max_h |K_hk|.  Both imply xi(s) < 1/4, never the
 converse, which the sweep module turns into nested feasibility
 intervals.
+
+The kernel has two implementations behind one interface, and
+`build_kernel` picks one from what the factors of y_ll show; there is
+no switch.
+
+* `DenseKernel` holds |K| itself, one column solve per bus: O(n^2)
+  memory, refused beyond KERNEL_SIZE_CAP.  Any network may take it.
+
+* `TreeKernel` is taken exactly when the load-bus graph is a forest
+  (meshed through the slack only, parallel branches allowed), which the
+  factors show without a graph search: rows and columns share one
+  permutation and every column of L, and every row of U, holds at most
+  one off-diagonal entry, at the elimination-forest parent.  K then
+  factors through every bus a on the tree path from i to j,
+  K_ij K_aa = K_ia K_aj (the separator property of inverses of
+  tree-patterned matrices; Y need not be symmetric), and K_ij = 0
+  across trees.  Rooting each tree where elimination ends, |K_ij| is
+  the product of |K_aa| at the lowest common ancestor a with the edge
+  ratios a_c = |K_c,p| / |K_pp| on the path up from i and
+  b_c = |K_p,c| / |K_pp| on the path up from j.  Selected inversion
+  (Takahashi, Fagan & Chen, PICA 1973) reads every ratio straight from
+  the factors, a_c = |U_cp / U_cc| |w_p / w_c| and
+  b_c = |L_pc| |w_p / w_c|, and gets |K_cc| from one recurrence down
+  the forest.  The row sums |K| t then take an up pass (sums over
+  subtrees) and a down pass (sums over everything outside a subtree);
+  the outside sums are built from sibling prefix and suffix sums, never
+  as a subtree sum subtracted from a total, so every row sum is a
+  rounded sum of non-negative terms, as the dense matvec is.  Both
+  passes are one forward substitution with a real unit-triangular
+  operator that factors with no fill, so each xi is a single SuperLU
+  solve in O(n).  The same passes on squared ratios give the row
+  2-norms, and a (max, x) pass the column maxima behind lambda.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import SuperLU, splu
 
 from .admittance import AdmittanceSystem
 from .errors import InvalidNetworkError
@@ -44,7 +79,9 @@ from .newton import power_mismatch
 from .sparse_lu import LuFactors, solve
 from .zero_load import ZeroLoadProfile, u_min as u_min_of
 
-KERNEL_SIZE_CAP = 5000  # the kernel is dense; refuse O(n^2) blowups beyond this
+# |K| is n x n: the dense kernel, and abs_k read from a tree kernel, refuse
+# O(n^2) blowups beyond this.  The tree kernel itself is O(n) and uncapped.
+KERNEL_SIZE_CAP = 5000
 CONTAINMENT_SLACK = 1e-9
 MISMATCH_TOL = 1e-6  # p.u. power mismatch allowed of a supplied operating point
 # The theorem's bound on xi(s - s_hat) at the zero-load point,
@@ -58,27 +95,63 @@ CONJUGATE_EXPONENT = {1.0: math.inf, 2.0: 2.0, math.inf: 1.0}
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Dense |K| plus every kernel quantity that does not depend on s.
+    """Every kernel quantity that does not depend on s, and |K| t for any t.
 
-    ``abs_k`` holds |K_ij| and is reused by every xi evaluation (one real
-    matvec each).  ``lam`` holds the canonical column weights
+    ``lam`` holds the canonical column weights
     lambda_j = 1 / max_h |K_hj|.  ``row_norm[p]`` and
     ``weighted_row_norm[p]`` are the max row p-norms of |K| and of
     |K| diag(lambda) for each p of CONJUGATE_EXPONENT; a complex row and its
     magnitudes have the same p-norm, so they are those of K and of
     K diag(lambda) as well.  ``system`` is the admittance system the
     kernel was built from, on which `certify` checks operating points.
+
+    Each implementation gives ``row_sums(t)``, the vector |K| t for a
+    non-negative t (bus order), whose largest entry is xi; ``abs_k``,
+    |K| itself; and ``path``, "dense" or "tree".
     """
 
     system: AdmittanceSystem
-    abs_k: np.ndarray
     lam: np.ndarray
     row_norm: dict[float, float]
     weighted_row_norm: dict[float, float]
 
     @property
     def n(self) -> int:
-        return self.abs_k.shape[0]
+        return self.system.n
+
+
+@dataclass(frozen=True)
+class DenseKernel(KernelMatrix):
+    """|K| held in full: each row sum is one real matvec."""
+
+    abs_k: np.ndarray
+    path: ClassVar[str] = "dense"
+
+    def row_sums(self, t: np.ndarray) -> np.ndarray:
+        return self.abs_k @ t
+
+
+@dataclass(frozen=True)
+class TreeKernel(KernelMatrix):
+    """|K| of a forest, never held: each row sum is one triangular solve.
+
+    ``passes`` is the SuperLU factor of the unit-triangular operator of
+    `_pass_coupling`.  ``abs_k`` rebuilds |K| from ``factors`` and
+    ``w`` one column solve at a time, for checks only: O(n^2) time and
+    memory, refused beyond KERNEL_SIZE_CAP.
+    """
+
+    factors: LuFactors
+    w: ZeroLoadProfile
+    passes: SuperLU
+    path: ClassVar[str] = "tree"
+
+    def row_sums(self, t: np.ndarray) -> np.ndarray:
+        return _apply_passes(self.passes, t)
+
+    @property
+    def abs_k(self) -> np.ndarray:
+        return _abs_kernel(self.factors, self.w)
 
 
 @dataclass(frozen=True)
@@ -98,10 +171,12 @@ class CertificateReport:
 
     ``rho`` is the certified per-unit ball radius of whichever condition
     set was evaluated (the state-aware one when both were), present only
-    on a pass.
+    on a pass.  ``kernel`` names the kernel implementation that computed
+    xi, "tree" or "dense".
     """
 
     xi_s: float
+    kernel: str | None = None
     xi_s_hat: float | None = None
     xi_delta_s: float | None = None
     u_min: float | None = None
@@ -132,14 +207,24 @@ class SolutionBall:
 def build_kernel(
     system: AdmittanceSystem, factors: LuFactors, w: ZeroLoadProfile
 ) -> KernelMatrix:
-    """Materialize |K| for K = diag(1/w) y_ll^-1 diag(1/conj(w)).
+    """The kernel of K = diag(1/w) y_ll^-1 diag(1/conj(w)).
 
-    Column j of y_ll^-1 comes from one sparse solve against the j-th unit
-    vector and is kept only as its magnitudes, so the complex inverse is
-    never held.  The column weights and the max row p-norms are computed
-    here once, and ``system`` (which ``factors`` factorize) is kept for
-    operating-point checks.  |K| is O(n^2) memory, so networks above
-    KERNEL_SIZE_CAP are refused before anything is allocated.
+    ``factors`` factorize ``system.y_ll``.  A `TreeKernel` when the
+    factors show a forest (see the module docstring), else a
+    `DenseKernel`.  ``system`` is kept for operating-point checks.
+    """
+    forest = _elimination_forest(factors)
+    if forest is None:
+        return _dense_kernel(system, factors, w)
+    return _tree_kernel(system, factors, w, forest)
+
+
+def _abs_kernel(factors: LuFactors, w: ZeroLoadProfile) -> np.ndarray:
+    """|K| by columns: column j of y_ll^-1 comes from one sparse solve
+    against the j-th unit vector and is kept only as its magnitudes, so
+    the complex inverse is never held.  |K| is O(n^2) memory, so
+    networks above KERNEL_SIZE_CAP are refused before anything is
+    allocated.
     """
     n = factors.n
     if n > KERNEL_SIZE_CAP:
@@ -153,24 +238,272 @@ def build_kernel(
         unit[j] = 1.0
         abs_k_t[j] = np.abs(solve(factors, unit) / w.w / np.conj(w.w[j]))
         unit[j] = 0.0
-    abs_k = abs_k_t.T
-    col_max = abs_k.max(axis=0)
-    lam = 1.0 / col_max
-    row_sq = np.einsum("ij,ij->i", abs_k, abs_k)
-    weighted_row_sq = np.einsum("ij,ij,j->i", abs_k, abs_k, lam * lam)
+    return abs_k_t.T
+
+
+def _row_norms(col_max, lam, plain, weighted):
+    """Max row p-norm tables from the column maxima of |K| and, for |K|
+    and for |K| diag(lambda), the row sums of the matrix and of its
+    entrywise square."""
+    (plain_sum, plain_sq), (weighted_sum, weighted_sq) = plain, weighted
     row_norm = {
-        1.0: float(np.max(abs_k.sum(axis=1))),
-        2.0: float(np.sqrt(np.max(row_sq))),
+        1.0: float(np.max(plain_sum)),
+        2.0: float(np.sqrt(np.max(plain_sq))),
         math.inf: float(np.max(col_max)),
     }
     weighted_row_norm = {
-        1.0: float(np.max(abs_k @ lam)),
-        2.0: float(np.sqrt(np.max(weighted_row_sq))),
+        1.0: float(np.max(weighted_sum)),
+        2.0: float(np.sqrt(np.max(weighted_sq))),
         # max_ij |K_ij| lambda_j: each column's largest entry times its weight
         math.inf: float(np.max(col_max * lam)),
     }
-    return KernelMatrix(system=system, abs_k=abs_k, lam=lam, row_norm=row_norm,
-                        weighted_row_norm=weighted_row_norm)
+    return row_norm, weighted_row_norm
+
+
+def _dense_kernel(
+    system: AdmittanceSystem, factors: LuFactors, w: ZeroLoadProfile
+) -> DenseKernel:
+    abs_k = _abs_kernel(factors, w)
+    col_max = abs_k.max(axis=0)
+    lam = 1.0 / col_max
+    row_norm, weighted_row_norm = _row_norms(
+        col_max, lam,
+        (abs_k.sum(axis=1), np.einsum("ij,ij->i", abs_k, abs_k)),
+        (abs_k @ lam, np.einsum("ij,ij,j->i", abs_k, abs_k, lam * lam)),
+    )
+    return DenseKernel(system=system, lam=lam, row_norm=row_norm,
+                       weighted_row_norm=weighted_row_norm, abs_k=abs_k)
+
+
+def _elimination_forest(factors: LuFactors):
+    """The forest the factors show, or None when they show none.
+
+    Returns (parent, l_edge, u_edge, pivot) indexed by elimination
+    position: parent[k] is -1 at a root, l_edge[k] = L[parent, k] and
+    u_edge[k] = U[k, parent] (0 where absent), pivot the diagonal of U.
+    None unless rows and columns share one permutation and each column
+    of L and each row of U holds at most one off-diagonal entry, at the
+    same parent; then y_ll's load-bus graph is a forest and the
+    elimination forest is that graph, rooted where elimination ends.
+    A forest factors with no fill, so factors with fill are refused
+    before L and U are copied out of SuperLU.
+    """
+    lu = factors.lu
+    n = factors.n
+    if factors.fill_in_count or not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    lower, upper = lu.L.tocoo(), lu.U.tocoo()
+    below = lower.row > lower.col
+    above = upper.col > upper.row
+    l_child, u_child = lower.col[below], upper.row[above]
+    if np.unique(l_child).size < l_child.size or np.unique(u_child).size < u_child.size:
+        return None
+    l_parent = np.full(n, -1)
+    l_parent[l_child] = lower.row[below]
+    u_parent = np.full(n, -1)
+    u_parent[u_child] = upper.col[above]
+    if np.any((l_parent >= 0) & (u_parent >= 0) & (l_parent != u_parent)):
+        return None
+    l_edge = np.zeros(n, dtype=complex)
+    l_edge[l_child] = lower.data[below]
+    u_edge = np.zeros(n, dtype=complex)
+    u_edge[u_child] = upper.data[above]
+    return np.maximum(l_parent, u_parent), l_edge, u_edge, lu.U.diagonal()
+
+
+def _unit_triangular(coupling) -> SuperLU:
+    """SuperLU of I - coupling for a strictly triangular ``coupling``,
+    kept in its own order.
+
+    Diagonal pivots on a triangular matrix factor it with no fill: one
+    factor is the matrix, the other the identity, so a solve is one
+    substitution sweep over its entries.  Single-column supernodes
+    (``relax=1``, ``panel_size=1``) halve the factorization time; there is
+    nothing to merge.
+    """
+    n = coupling.shape[0]
+    return splu(sparse.identity(n, dtype=coupling.dtype, format="csc") - coupling,
+                permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+                options=dict(SymmetricMode=True))
+
+
+def _apply_passes(passes: SuperLU, t: np.ndarray) -> np.ndarray:
+    """|K| t (bus order, one column per column of t) from the pass operator."""
+    n = t.shape[0]
+    rhs = np.zeros((4 * n,) + t.shape[1:])
+    rhs[:n] = t
+    return passes.solve(rhs)[3 * n:]
+
+
+def _pass_coupling(order, parent, kappa, a, b) -> sparse.csc_matrix:
+    """Coupling C of the operator I - C whose forward substitution
+    computes |K| t.
+
+    ``order[k]`` is the bus at elimination position k, ``parent`` the
+    elimination forest (children precede parents), ``kappa`` holds
+    |K_kk| and ``a``, ``b`` the edge ratios up from each node (0 at
+    roots).  The unknowns are four blocks of n: t itself (bus order),
+    then S, Y and the row sums R (bus order).  With a node's children
+    taken in decreasing position, ``first`` its first child and ``nxt``
+    and ``prev`` its neighbours among its siblings, for a node c with
+    parent p:
+
+    * G_c = t_c + S_first(c) is sum_{j in subtree(c)} |K_cj| t_j / |K_cc|;
+    * S_c = b_c G_c + S_nxt(c) sums the offers b_h G_h of c and its
+      later siblings (the up pass);
+    * X_c = sum_{j outside subtree(c)} |K_pj| t_j is split as
+      Q_c = |K_pp| (t_p + S_nxt(c)), from p and the later siblings, and
+      Y_c, from the earlier siblings and everything outside subtree(p):
+      Y_c = a_p (Y_p + Q_p) for a first child (0 below a root) and
+      Y_c = Y_prev(c) + |K_pp| b_prev(c) G_prev(c) otherwise (the down
+      pass);
+    * R_c = |K_cc| G_c + a_c (Y_c + Q_c).
+
+    Every unknown is the right-hand side (t, else 0) plus non-negative
+    multiples of unknowns that precede it (S runs up the forest, Y down
+    it, so Y is stored in reverse), so the operator is unit lower
+    triangular with non-positive off-diagonal entries, and its solve adds
+    non-negative terms only.  Squaring kappa, a and b gives the sums of
+    |K|^2 t.
+    """
+    n = parent.size
+    child = np.flatnonzero(parent >= 0)
+    chain = child[np.lexsort((-child, parent[child]))]  # siblings adjacent
+    same = parent[chain[1:]] == parent[chain[:-1]]
+    nxt = np.full(n, -1)
+    prev = np.full(n, -1)
+    first = np.full(n, -1)
+    nxt[chain[:-1][same]] = chain[1:][same]
+    prev[chain[1:][same]] = chain[:-1][same]
+    head = np.ones(chain.size, dtype=bool)
+    head[1:] = ~same
+    first[parent[chain[head]]] = chain[head]
+
+    def t_at(k):
+        return order[k]
+
+    def s_at(k):
+        return n + k
+
+    def y_at(k):
+        return 3 * n - 1 - k
+
+    def r_at(k):
+        return 3 * n + order[k]
+
+    rows, cols, coefs = [], [], []
+
+    def add(row_at, nodes, col_at, sources, coef):
+        """Unknown row_at(nodes) gains coef times unknown col_at(sources)."""
+        keep = (sources >= 0) & (coef > 0)
+        rows.append(row_at(nodes[keep]))
+        cols.append(col_at(sources[keep]))
+        coefs.append(coef[keep])
+
+    c, p = child, parent[child]
+    ones = np.ones(c.size)
+    add(s_at, c, t_at, c, b[c])
+    add(s_at, c, s_at, first[c], b[c])
+    add(s_at, c, s_at, nxt[c], ones)
+
+    lead = prev[c] < 0
+    c1, p1 = c[lead], p[lead]
+    up = parent[p1]
+    from_above = a[p1] * kappa[up]  # a is 0 at a root, so Y is 0 below one
+    add(y_at, c1, y_at, p1, a[p1])
+    add(y_at, c1, t_at, up, from_above)
+    add(y_at, c1, s_at, nxt[p1], from_above)
+    c2, p2, q = c[~lead], p[~lead], prev[c[~lead]]
+    offer = kappa[p2] * b[q]
+    add(y_at, c2, y_at, q, np.ones(c2.size))
+    add(y_at, c2, t_at, q, offer)
+    add(y_at, c2, s_at, first[q], offer)
+
+    every = np.arange(n)
+    add(r_at, every, t_at, every, kappa)
+    add(r_at, every, s_at, first, kappa)
+    add(r_at, c, y_at, c, a[c])
+    add(r_at, c, t_at, p, a[c] * kappa[p])
+    add(r_at, c, s_at, nxt[c], a[c] * kappa[p])
+
+    return sparse.csc_matrix(
+        (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(4 * n, 4 * n),
+    )
+
+
+def _column_maxima(parent, kappa, a, b) -> np.ndarray:
+    """max_h |K_hj| for each elimination position j, by a (max, x) pass
+    up the forest and one down it.
+
+    Up: M_c = max_{h in subtree(c)} |K_hc| / |K_cc|, the best of 1 (h = c)
+    and each child's offer a_h M_h.  Every parent keeps its best and
+    second-best offer, counting its own 1, so a child reads the best
+    offer of the rest without removing its own.  Down: F_j, the largest
+    |K_hj| over h outside subtree(j), is b_j max(|K_pp| best_p, F_p) with
+    best_p the best offer at p other than j's.  An O(n) Python loop; it
+    runs once per kernel.
+    """
+    n = parent.size
+    par, up_ratio, down_ratio, diag = (
+        parent.tolist(), a.tolist(), b.tolist(), kappa.tolist())
+    best = [1.0] * n
+    second = [1.0] * n
+    best_child = [-1] * n
+    for c in range(n):  # children precede parents, so best[c] is final
+        p = par[c]
+        if p < 0:
+            continue
+        offer = up_ratio[c] * best[c]
+        if offer > best[p]:
+            second[p], best[p], best_child[p] = best[p], offer, c
+        elif offer > second[p]:
+            second[p] = offer
+    outside = [0.0] * n
+    col_max = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        p = par[j]
+        if p >= 0:
+            rest = second[p] if best_child[p] == j else best[p]
+            outside[j] = down_ratio[j] * max(diag[p] * rest, outside[p])
+        col_max[j] = max(diag[j] * best[j], outside[j])
+    return np.array(col_max)
+
+
+def _tree_kernel(system, factors, w, forest) -> TreeKernel:
+    parent, l_edge, u_edge, pivot = forest
+    perm = factors.lu.perm_c  # bus i sits at elimination position perm[i]
+    order = np.argsort(perm)
+    n = parent.size
+    w_abs = np.abs(w.w)[order]
+    # Takahashi: with B = LU the permuted y_ll and Z = B^-1,
+    # Z_kp = -(U_kp / U_kk) Z_pp, Z_pk = -L_pk Z_pp and
+    # Z_kk = 1 / U_kk + (U_kp / U_kk) L_pk Z_pp, from the roots down.
+    child = np.flatnonzero(parent >= 0)
+    u_ratio = u_edge / pivot
+    z_diag = _unit_triangular(sparse.csc_matrix(
+        (u_ratio[child] * l_edge[child], (child, parent[child])), shape=(n, n)
+    )).solve(1.0 / pivot)
+    kappa = np.abs(z_diag) / w_abs**2
+    scale = np.zeros(n)
+    scale[child] = w_abs[parent[child]] / w_abs[child]
+    a = np.abs(u_ratio) * scale
+    b = np.abs(l_edge) * scale
+
+    coupling = _pass_coupling(order, parent, kappa, a, b)
+    passes = _unit_triangular(coupling)
+    col_max = _column_maxima(parent, kappa, a, b)[perm]
+    lam = 1.0 / col_max
+    plain = _apply_passes(passes, np.column_stack([np.ones(n), lam]))
+    # every coupling is a product of kappa, a, b and ones: squared, it
+    # couples the sums of |K|^2 t
+    squared = _apply_passes(_unit_triangular(coupling.multiply(coupling).tocsc()),
+                            np.column_stack([np.ones(n), lam * lam]))
+    row_norm, weighted_row_norm = _row_norms(
+        col_max, lam, (plain[:, 0], squared[:, 0]), (plain[:, 1], squared[:, 1]))
+    return TreeKernel(system=system, lam=lam, row_norm=row_norm,
+                      weighted_row_norm=weighted_row_norm, factors=factors, w=w,
+                      passes=passes)
 
 
 def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
@@ -178,7 +511,7 @@ def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
     s = np.asarray(s, dtype=complex)
     if s.shape != (kernel.n,):
         raise ValueError(f"injection has shape {s.shape}, expected ({kernel.n},)")
-    return float(np.max(kernel.abs_k @ np.abs(s)))
+    return float(np.max(kernel.row_sums(np.abs(s))))
 
 
 def theorem_conditions(
@@ -319,7 +652,8 @@ def certify(
         raise ValueError("an operating point needs all of w, v_hat and s_hat")
     xi_s = xi(kernel, s)
     ok, _, rho = theorem_conditions(0.0, xi_s, 1.0)
-    report = CertificateReport(xi_s=xi_s, corollary_ok=ok, rho=rho)
+    report = CertificateReport(xi_s=xi_s, kernel=kernel.path, corollary_ok=ok,
+                               rho=rho)
     if all(given):
         check_operating_point(kernel.system, v_hat, s_hat)
         u_min = u_min_of(v_hat, w)

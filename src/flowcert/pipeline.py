@@ -13,8 +13,9 @@ from .zero_load import ZeroLoadProfile, compute_w
 
 @dataclass(frozen=True)
 class PreparedGrid:
-    """Admittance system, factors, zero-load profile and the dense
-    certificate kernel for one network."""
+    """Admittance system, factors, zero-load profile and the certificate
+    kernel for one network (a tree kernel on a forest of load buses, else
+    dense |K|)."""
 
     net: NetworkDescription
     system: AdmittanceSystem

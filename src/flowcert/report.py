@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 
-SCHEMA_VERSION = "flowcert-report/1"
+SCHEMA_VERSION = "flowcert-report/2"
 
 
 def render_document(doc: dict) -> str:
@@ -42,6 +42,7 @@ def certificate_document(report) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "kind": "certificate",
+        "kernel": report.kernel,
         "xi_s": report.xi_s,
         "xi_s_hat": report.xi_s_hat,
         "xi_delta_s": report.xi_delta_s,

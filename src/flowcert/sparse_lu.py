@@ -7,6 +7,14 @@ and columns alike (``MMD_AT_PLUS_A``) and diagonal pivots
 no fill at all.  `solve` reuses the factors for any number of right-hand
 sides and never modifies them.
 
+Tree factor structure: when the load-bus graph of y_ll is a forest
+(meshed through the slack at most), the factors have no fill,
+``perm_r == perm_c``, and column k of L and row k of U each hold at
+most one off-diagonal entry, at the position of k's parent in the
+elimination forest, which is the network's own forest rooted where
+elimination ends.  `certificate.build_kernel` tests exactly this
+structure and reads its tree kernel from these entries.
+
 Precondition: the Hermitian part (A + A^H) / 2 is positive definite.
 Every load-bus block ``y_ll`` that `build_admittance` assembles from a
 network `build_network` accepts has this property: each branch adds

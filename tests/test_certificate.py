@@ -8,12 +8,25 @@ from hypothesis.extra.numpy import arrays
 
 import flowcert as fc
 from flowcert.certificate import (
+    CONJUGATE_EXPONENT,
+    _apply_passes,
+    _column_maxima,
+    _dense_kernel as _dense_reference,
+    _pass_coupling,
+    _unit_triangular,
     check_prior_conditions,
     solution_ball,
     theorem_conditions,
     xi,
 )
-from netrand import chain_network, random_injections, random_network, scale_to_xi
+from netrand import (
+    chain_network,
+    random_injections,
+    random_network,
+    random_tree,
+    scale_to_xi,
+    star_network,
+)
 
 # --- kernel -------------------------------------------------------------------
 
@@ -46,15 +59,40 @@ def test_kernel_identity_product():
     assert np.max(np.abs(grid.kernel.abs_k - np.abs(np.linalg.inv(scaled)))) < 1e-8
 
 
-def test_kernel_size_cap(monkeypatch):
-    # One bus past the cap is refused before the n x n kernel is
-    # allocated or any of its column solves runs.
-    net = chain_network(fc.certificate.KERNEL_SIZE_CAP + 1)
+def _with_branches(net, extra):
+    return fc.build_network(list(net.buses), list(net.branches) + extra,
+                            power_base=1.0, voltage_base=1.0)
+
+
+def _line(a, b, z=0.02 + 0.05j):
+    return fc.Branch(str(a), str(b), "line", 1.0 / z)
+
+
+def _count_column_solves(monkeypatch):
     column_solves = []
     monkeypatch.setattr(fc.certificate, "solve",
                         lambda *args: column_solves.append(1))
+    return column_solves
+
+
+def test_kernel_size_cap(monkeypatch):
+    # A meshed network one bus past the cap takes the dense path and is
+    # refused before the n x n kernel is allocated or any of its column
+    # solves runs.
+    net = _with_branches(chain_network(fc.certificate.KERNEL_SIZE_CAP + 1),
+                         [_line(1, 3)])
+    column_solves = _count_column_solves(monkeypatch)
     with pytest.raises(ValueError, match="size cap"):
         fc.prepare_grid(net)
+    assert column_solves == []
+
+
+def test_tree_kernel_is_uncapped_but_its_abs_k_is_not(monkeypatch):
+    grid = fc.prepare_grid(chain_network(fc.certificate.KERNEL_SIZE_CAP + 1))
+    assert grid.kernel.path == "tree"
+    column_solves = _count_column_solves(monkeypatch)
+    with pytest.raises(ValueError, match="size cap"):
+        grid.kernel.abs_k
     assert column_solves == []
 
 
@@ -111,6 +149,254 @@ def test_cached_norms_match_dense_inverse():
         verdicts.add((res.bolognani_ok, res.improved_ok))
     # the draw reaches both verdicts, and the weighted-only pass between them
     assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+# --- tree kernel ------------------------------------------------------------------
+
+
+def _tree_and_dense(net):
+    """The kernel build_kernel picks, asserted to be the tree kernel, and
+    the dense kernel of the same network."""
+    grid = fc.prepare_grid(net)
+    assert grid.kernel.path == "tree"
+    return grid.kernel, _dense_reference(grid.system, grid.factors, grid.w)
+
+
+def _assert_kernels_match(tree, dense, t):
+    rel = 1e-12
+    np.testing.assert_allclose(tree.row_sums(t), dense.row_sums(t), rtol=rel, atol=0)
+    np.testing.assert_allclose(tree.lam, dense.lam, rtol=rel, atol=0)
+    for p in CONJUGATE_EXPONENT:
+        assert tree.row_norm[p] == pytest.approx(dense.row_norm[p], rel=rel, abs=0)
+        assert tree.weighted_row_norm[p] == pytest.approx(
+            dense.weighted_row_norm[p], rel=rel, abs=0)
+
+
+def _loads(rng, n):
+    """|s| with a few exact zeros among random magnitudes."""
+    t = np.abs(random_injections(rng, n))
+    t[rng.random(n) < 0.2] = 0.0
+    return t
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=seeds, n=st.integers(1, 60))
+def test_tree_kernel_matches_dense_on_random_trees(seed, n):
+    # shunts and transformers included
+    rng = np.random.default_rng(seed)
+    tree, dense = _tree_and_dense(random_tree(rng, n))
+    _assert_kernels_match(tree, dense, _loads(rng, n))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=seeds, n=st.integers(2, 60), chords=st.integers(1, 4))
+def test_tree_kernel_matches_dense_when_meshed_through_the_slack(seed, n, chords):
+    # Extra branches from the slack close loops through it only: the
+    # load-bus graph stays a forest.
+    rng = np.random.default_rng(seed)
+    net = random_tree(rng, n)
+    extra = [_line(0, int(rng.integers(1, n + 1)), complex(rng.uniform(0.01, 0.08),
+                                                          rng.uniform(0.02, 0.2)))
+             for _ in range(chords)]
+    tree, dense = _tree_and_dense(_with_branches(net, extra))
+    _assert_kernels_match(tree, dense, _loads(rng, n))
+
+
+@settings(deadline=None, max_examples=25)
+@given(seed=seeds, n=st.integers(1, 60), doubled=st.integers(1, 5))
+def test_tree_kernel_matches_dense_with_parallel_branches(seed, n, doubled):
+    rng = np.random.default_rng(seed)
+    net = random_tree(rng, n)
+    extra = []
+    for index in rng.integers(0, len(net.branches), size=doubled):
+        br = net.branches[int(index)]
+        ratio = rng.uniform(0.9, 1.1) * np.exp(1j * rng.uniform(-0.05, 0.05))
+        extra.append(fc.Branch(br.from_bus, br.to_bus, "transformer",
+                               1.0 / complex(rng.uniform(0.01, 0.08),
+                                             rng.uniform(0.02, 0.2)),
+                               complex(ratio)))
+    tree, dense = _tree_and_dense(_with_branches(net, extra))
+    _assert_kernels_match(tree, dense, _loads(rng, n))
+
+
+def _strong_shunt_tree(rng, n):
+    """Random tree with shunt b up to 3 p.u. either way and half its
+    branches transformers: an edge can then have
+    |K_jp| |K_pj| > |K_jj| |K_pp|."""
+    buses = [fc.Bus("0", "slack")] + [
+        fc.Bus(str(i), "load", complex(rng.uniform(0.0, 0.05), rng.uniform(-3.0, 3.0)))
+        for i in range(1, n + 1)
+    ]
+    branches = []
+    for i in range(1, n + 1):
+        y = 1.0 / complex(rng.uniform(0.01, 0.08), rng.uniform(0.02, 0.2))
+        ratio = rng.uniform(0.9, 1.1) * np.exp(1j * rng.uniform(-0.05, 0.05))
+        kind = "transformer" if rng.random() < 0.5 else "line"
+        branches.append(fc.Branch(str(int(rng.integers(0, i))), str(i), kind, y,
+                                  complex(ratio) if kind == "transformer" else 1 + 0j))
+    return fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=seeds, n=st.integers(2, 12))
+def test_tree_kernel_matches_dense_with_strong_shunts(seed, n):
+    rng = np.random.default_rng(seed)
+    tree, dense = _tree_and_dense(_strong_shunt_tree(rng, n))
+    _assert_kernels_match(tree, dense, _loads(rng, n))
+
+
+def test_column_maxima_skip_a_childs_own_offer():
+    # On this draw an edge j-p has |K_jp| |K_pj| > |K_jj| |K_pp|, so an
+    # outside maximum for column j that counted j's own subtree through p
+    # would overstate max_h |K_hj|, and lambda_j would come out 56 % low.
+    rng = np.random.default_rng(91)
+    net = _strong_shunt_tree(rng, int(rng.integers(2, 13)))
+    tree, dense = _tree_and_dense(net)
+    k = dense.abs_k
+    assert any(
+        k[i, j] * k[j, i] > k[i, i] * k[j, j]
+        for i, j in ((net.index[br.from_bus] - 1, net.index[br.to_bus] - 1)
+                     for br in net.branches if br.from_bus != "0")
+    )
+    _assert_kernels_match(tree, dense, _loads(rng, net.n))
+
+
+def _product_kernel(parent, kappa, a, b):
+    """|K| by elimination position from the separator product itself:
+    |K_hj| = prod(a on the path up from h) |K_aa| prod(b on the path up
+    from j), with a their lowest common ancestor, and 0 across trees."""
+    n = parent.size
+
+    def path_up(k):
+        path = [k]
+        while parent[path[-1]] >= 0:
+            path.append(parent[path[-1]])
+        return path
+
+    paths = [path_up(k) for k in range(n)]
+    k = np.zeros((n, n))
+    for h in range(n):
+        for j in range(n):
+            common = [x for x in paths[h] if x in paths[j]]
+            if common:
+                top = common[0]
+                up_h = paths[h][:paths[h].index(top)]
+                up_j = paths[j][:paths[j].index(top)]
+                k[h, j] = np.prod(a[up_h]) * kappa[top] * np.prod(b[up_j])
+    return k
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=seeds, n=st.integers(1, 25))
+def test_tree_passes_match_the_separator_product(seed, n):
+    # Any forest with parents after children, any positive ratios (over
+    # four decades, so that any sibling's offer can win) and any bus
+    # order: the row sums, their squares and the column maxima equal
+    # those of the product formula.
+    rng = np.random.default_rng(seed)
+    parent = np.array([int(rng.integers(k + 1, n + 1)) if k < n - 1 else n
+                       for k in range(n)])
+    parent[(parent == n) | (rng.random(n) < 0.1)] = -1
+    kappa, a, b = (10.0 ** rng.uniform(-2, 2, n) for _ in range(3))
+    a[parent < 0] = b[parent < 0] = 0.0
+    order = rng.permutation(n)
+    want = np.empty((n, n))
+    want[np.ix_(order, order)] = _product_kernel(parent, kappa, a, b)
+    t = _loads(rng, n)
+    coupling = _pass_coupling(order, parent, kappa, a, b)
+    got = _apply_passes(_unit_triangular(coupling), t)
+    np.testing.assert_allclose(got, want @ t, rtol=1e-12, atol=0)
+    squared = _apply_passes(_unit_triangular(coupling.multiply(coupling).tocsc()), t)
+    np.testing.assert_allclose(squared, (want * want) @ t, rtol=1e-12, atol=0)
+    col_max = _column_maxima(parent, kappa, a, b)[np.argsort(order)]
+    np.testing.assert_allclose(col_max, want.max(axis=0), rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def long_kernels():
+    return {name: _tree_and_dense(make(500))
+            for name, make in (("chain", chain_network), ("star", star_network))}
+
+
+@settings(deadline=None, max_examples=10)
+@given(seed=seeds, name=st.sampled_from(["chain", "star"]))
+def test_tree_kernel_matches_dense_on_long_chain_and_star(long_kernels, seed, name):
+    tree, dense = long_kernels[name]
+    _assert_kernels_match(tree, dense, _loads(np.random.default_rng(seed), 500))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_heavy_tip_row_sums_never_fall_below_the_dense_rows(seed):
+    # Hub bus 1 carries a 40-bus branch and 9 leaves, with one heavy load
+    # at the branch tip, 1e-9 p.u. elsewhere and shunt b up to 3 p.u.
+    # either way: the hub's row mass comes almost entirely from the
+    # branch, where an outside sum taken as total minus subtree sum
+    # would cancel.
+    rng = np.random.default_rng(seed)
+    buses = [fc.Bus("0", "slack")] + [
+        fc.Bus(str(i), "load", complex(rng.uniform(0.0, 0.05), rng.uniform(-3.0, 3.0)))
+        for i in range(1, 51)
+    ]
+
+    def line(a, b):
+        return _line(a, b, complex(rng.uniform(0.01, 0.08), rng.uniform(0.02, 0.2)))
+
+    branches = [line(0, 1)] + [line(i - 1, i) for i in range(2, 42)]
+    branches += [line(1, i) for i in range(42, 51)]
+    net = fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
+    tree, dense = _tree_and_dense(net)
+    t = np.full(net.n, 1e-9)
+    t[net.index["41"] - 1] = 1.0
+    got, want = tree.row_sums(t), dense.row_sums(t)
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert np.all(got >= want - 1e-12 * want)
+
+
+def test_chord_breaks_the_separator_product_and_takes_the_dense_path():
+    # Bus 5 lies on the chain path from bus 1 to bus 10, but a chord
+    # 2-8 means it no longer separates them: the product the tree kernel
+    # would use, |K_1,5| |K_5,10| / |K_5,5|, is 30 % below |K_1,10|.
+    net = _with_branches(chain_network(10), [_line(2, 8)])
+    grid = fc.prepare_grid(net)
+    k = np.abs(_dense_kernel(grid))
+    i, a, j = (net.index[bus] - 1 for bus in ("1", "5", "10"))
+    assert k[i, a] * k[a, j] / k[a, a] < 0.8 * k[i, j]
+    assert grid.kernel.path == "dense"
+    # without the chord bus 5 separates them and the product is exact
+    k = np.abs(_dense_kernel(fc.prepare_grid(chain_network(10))))
+    assert k[i, a] * k[a, j] / k[a, a] == pytest.approx(k[i, j], rel=1e-12)
+
+
+def test_forest_test_reads_the_factors():
+    # A chord that closes a triangle of load buses takes the dense path;
+    # one that doubles a tree edge, or closes a loop through the slack,
+    # does not.
+    base = random_tree(np.random.default_rng(40), 30)
+    parent = {br.to_bus: br.from_bus for br in base.branches}
+    bus = next(b for b, p in parent.items() if p != "0" and parent[p] != "0")
+    cases = {
+        "dense": [_line(bus, parent[parent[bus]])],
+        "tree": [_line(0, bus), _line(bus, parent[bus])],
+    }
+    for path, extra in cases.items():
+        assert fc.prepare_grid(_with_branches(base, extra)).kernel.path == path
+
+
+def test_tree_passes_add_non_negative_terms_only(feeder_grid):
+    # The pass operator factors as itself times the identity, with no
+    # fill and unit pivots, and every off-diagonal entry is <= 0, so a
+    # forward substitution from a non-negative right-hand side adds
+    # non-negative terms only.
+    passes = feeder_grid.kernel.passes
+    size = 4 * feeder_grid.kernel.n
+    lower, upper = passes.L.tocoo(), passes.U.tocoo()
+    assert upper.nnz == size and np.all(upper.row == upper.col)
+    assert np.all(upper.data == 1.0)
+    assert np.all(lower.data[lower.row == lower.col] == 1.0)
+    assert np.all(lower.data[lower.row != lower.col] <= 0.0)
 
 
 # --- loading measure ------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 import flowcert as fc
 from flowcert.cli import main
 from conftest import FEEDER_DIR
+from netrand import chain_network
 
 NETWORK = str(FEEDER_DIR / "network.json")
 S_BASE = str(FEEDER_DIR / "injections_base.json")
@@ -24,7 +25,7 @@ def test_check_with_operating_point_passes(tmp_path):
                 "--operating-point", OP, "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "flowcert-report/1"
+    assert doc["schema"] == "flowcert-report/2"
     assert doc["theorem_ok"] is True
     assert doc["corollary_ok"] is False
     assert doc["xi_s"] > 0.25
@@ -199,6 +200,32 @@ def test_dump_matrix_coordinates(tmp_path, feeder_net):
     for line in out.read_text().strip().split("\n"):
         i, j, re, im = line.split(" ")
         assert complex(float(re), float(im)) == full[int(i), int(j)]
+
+
+@pytest.fixture(scope="module")
+def long_chain(tmp_path_factory):
+    """A 10^4-bus chain, twice the dense kernel's size cap, loaded at its tip."""
+    root = tmp_path_factory.mktemp("long_chain")
+    net_path, inj_path = root / "net.json", root / "inj.json"
+    net_path.write_text(fc.serialize_network(chain_network(10_000)))
+    inj_path.write_text(json.dumps({"injections": [
+        {"bus": "10000", "p_mw": -1e-4, "q_mvar": -5e-5}
+    ]}))
+    return str(net_path), str(inj_path)
+
+
+@pytest.mark.parametrize("subcommand", ["check", "solve"])
+def test_long_radial_feeder_runs_past_the_dense_cap(tmp_path, long_chain, subcommand):
+    net_path, inj_path = long_chain
+    out = tmp_path / "out.json"
+    code = run([subcommand, "--network", net_path, "--injections", inj_path,
+                "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    if subcommand == "check":
+        assert doc["kernel"] == "tree" and doc["corollary_ok"] is True
+    else:
+        assert doc["converged"] is True and doc["certified"] is True
 
 
 def test_golden_byte_stability(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 import flowcert as fc
 from flowcert import report
+from netrand import random_injections, random_network
 
 
 def _certificate_doc(grid, op, s):
@@ -42,3 +43,14 @@ def test_non_finite_values_are_refused(value):
     with pytest.raises(ValueError):
         report.render_document(
             report.certificate_document(fc.CertificateReport(xi_s=value)))
+
+
+def test_certificate_names_the_kernel_path(feeder_grid, feeder_s_next):
+    doc = report.certificate_document(fc.certify(feeder_grid.kernel, feeder_s_next))
+    assert doc["schema"] == "flowcert-report/2"
+    assert doc["kernel"] == "tree"
+    rng = np.random.default_rng(0)
+    grid = fc.prepare_grid(random_network(rng, 20))  # two chords close loops
+    doc = report.certificate_document(
+        fc.certify(grid.kernel, random_injections(rng, grid.kernel.n)))
+    assert doc["kernel"] == "dense"
