@@ -66,7 +66,7 @@ no switch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -107,7 +107,9 @@ class KernelMatrix:
 
     Each implementation gives ``row_sums(t)``, the vector |K| t for a
     non-negative t (bus order), whose largest entry is xi; ``abs_k``,
-    |K| itself; and ``path``, "dense" or "tree".
+    |K| itself; and ``path``, "dense" or "tree".  ``row_sums`` also takes
+    an (n, k) block and gives, column for column, bit for bit what it
+    gives each column alone.
     """
 
     system: AdmittanceSystem
@@ -128,7 +130,10 @@ class DenseKernel(KernelMatrix):
     path: ClassVar[str] = "dense"
 
     def row_sums(self, t: np.ndarray) -> np.ndarray:
-        return self.abs_k @ t
+        if t.ndim == 1:
+            return self.abs_k @ t
+        # One matvec per column: a matrix product (gemm) rounds differently.
+        return np.column_stack([self.abs_k @ col for col in np.ascontiguousarray(t.T)])
 
 
 @dataclass(frozen=True)
@@ -506,12 +511,24 @@ def _tree_kernel(system, factors, w, forest) -> TreeKernel:
                       passes=passes)
 
 
-def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
-    """Loading measure: max over rows of sum_j |K_ij| |s_j|."""
+def _injection(kernel: KernelMatrix, s) -> np.ndarray:
+    """``s`` as a complex array, checked to have shape (n,)."""
     s = np.asarray(s, dtype=complex)
     if s.shape != (kernel.n,):
         raise ValueError(f"injection has shape {s.shape}, expected ({kernel.n},)")
-    return float(np.max(kernel.row_sums(np.abs(s))))
+    return s
+
+
+def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
+    """Loading measure: max over rows of sum_j |K_ij| |s_j|."""
+    return float(np.max(kernel.row_sums(np.abs(_injection(kernel, s)))))
+
+
+def _xi_block(kernel: KernelMatrix, injections) -> list[float]:
+    """`xi` of each of ``injections``, bit for bit, from one ``row_sums``
+    call on their magnitudes as the columns of one block."""
+    t = np.column_stack([np.abs(_injection(kernel, s)) for s in injections])
+    return kernel.row_sums(t).max(axis=0).tolist()
 
 
 def theorem_conditions(
@@ -554,13 +571,11 @@ def check_prior_conditions(kernel: KernelMatrix, s: np.ndarray) -> PriorConditio
     O(n) per call: the row norms and the weights come cached in ``kernel``.
     """
     abs_s = np.abs(np.asarray(s, dtype=complex))
-    scaled_s = abs_s / kernel.lam
+    plain_norm, weighted_norm = _q_norms(abs_s), _q_norms(abs_s / kernel.lam)
     entries = []
     for p, q in CONJUGATE_EXPONENT.items():
-        product = kernel.row_norm[p] * float(np.linalg.norm(abs_s, ord=q))
-        weighted = kernel.weighted_row_norm[p] * float(
-            np.linalg.norm(scaled_s, ord=q)
-        )
+        product = kernel.row_norm[p] * plain_norm[q]
+        weighted = kernel.weighted_row_norm[p] * weighted_norm[q]
         entries.append(
             PriorConditionEntry(
                 p=float(p),
@@ -576,6 +591,12 @@ def check_prior_conditions(kernel: KernelMatrix, s: np.ndarray) -> PriorConditio
         improved_ok=bolognani_ok or any(e.weighted_ok for e in entries),
         detail=tuple(entries),
     )
+
+
+def _q_norms(x: np.ndarray) -> dict[float, float]:
+    """The q-norms of a non-negative real vector for every q of
+    CONJUGATE_EXPONENT, by the reductions `np.linalg.norm` runs on it."""
+    return {math.inf: float(x.max()), 2.0: math.sqrt(x @ x), 1.0: float(x.sum())}
 
 
 @dataclass(frozen=True)
@@ -648,23 +669,25 @@ def certify(
     the state-aware set when evaluated, else from the state-free one.
     """
     given = [x is not None for x in (w, v_hat, s_hat)]
-    if any(given) and not all(given):
+    state_aware = all(given)
+    if any(given) and not state_aware:
         raise ValueError("an operating point needs all of w, v_hat and s_hat")
-    xi_s = xi(kernel, s)
-    ok, _, rho = theorem_conditions(0.0, xi_s, 1.0)
-    report = CertificateReport(xi_s=xi_s, kernel=kernel.path, corollary_ok=ok,
-                               rho=rho)
-    if all(given):
+    s = _injection(kernel, s)
+    if state_aware:
         check_operating_point(kernel.system, v_hat, s_hat)
+        xi_s, xi_s_hat, xi_delta_s = _xi_block(kernel, (s, s_hat, s - s_hat))
+    else:
+        xi_s = xi(kernel, s)
+    ok, _, rho = theorem_conditions(0.0, xi_s, 1.0)
+    fields = dict(xi_s=xi_s, kernel=kernel.path, corollary_ok=ok, rho=rho)
+    if state_aware:
         u_min = u_min_of(v_hat, w)
-        xi_s_hat = xi(kernel, s_hat)
-        xi_delta_s = xi(kernel, np.asarray(s) - np.asarray(s_hat))
         ok, delta, rho = theorem_conditions(xi_s_hat, xi_delta_s, u_min)
-        report = replace(report, xi_s_hat=xi_s_hat, xi_delta_s=xi_delta_s,
-                         u_min=u_min, delta=delta, rho=rho, theorem_ok=ok)
+        fields.update(xi_s_hat=xi_s_hat, xi_delta_s=xi_delta_s, u_min=u_min,
+                      delta=delta, rho=rho, theorem_ok=ok)
     priors = check_prior_conditions(kernel, s)
-    return replace(
-        report,
+    return CertificateReport(
+        **fields,
         bolognani_ok=priors.bolognani_ok,
         improved_ok=priors.improved_ok,
         bolognani_detail=priors.detail,

@@ -9,9 +9,10 @@ The state-aware mask is evaluated at every grid point; it is an interval
 around the operating point's own loading kappa_hat, whose ends are
 bracketed by bisection.
 
-Optionally the plain fixed-point iteration is attempted at every grid
-point (uncertified, from the zero-load profile) to record where it
-empirically converges.
+Optionally the plain fixed-point iteration (uncertified, from the
+zero-load profile) is run on the grid points, iterated together in
+blocks (`fixed_point.converges`), to record where it empirically
+converges.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certificate as cert
-from .errors import ConvergenceError, VoltageCollapseError
-from .fixed_point import solve_fixed_point
+from .fixed_point import converges
 from .network import NetworkDescription, OperatingPoint
 from .pipeline import prepare_grid
 from .zero_load import u_min as u_min_of
@@ -118,15 +118,9 @@ def sweep(
 
     fp_converged = None
     if run_fixed_point:
-        flags = []
-        for kappa in kappa_grid:
-            try:
-                solve_fixed_point(grid.factors, grid.w, s_at(kappa),
-                                  tol=fp_tol, max_iter=fp_max_iter)
-                flags.append(True)
-            except (ConvergenceError, VoltageCollapseError):
-                flags.append(False)
-        fp_converged = np.array(flags)
+        fp_converged = converges(grid.factors, grid.w,
+                                 (s_at(kappa) for kappa in kappa_grid),
+                                 tol=fp_tol, max_iter=fp_max_iter)
 
     def boundary(limit: float) -> float | None:
         return limit if limit <= kappa_max else None

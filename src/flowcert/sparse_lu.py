@@ -5,7 +5,8 @@ in symmetric mode: a minimum-degree ordering of A^T + A applied to rows
 and columns alike (``MMD_AT_PLUS_A``) and diagonal pivots
 (``diag_pivot_thresh=0``), so that a tree-patterned matrix factors with
 no fill at all.  `solve` reuses the factors for any number of right-hand
-sides and never modifies them.
+sides, one at a time or as the columns of one block, and never modifies
+them.
 
 Tree factor structure: when the load-bus graph of y_ll is a forest
 (meshed through the slack at most), the factors have no fill,
@@ -85,8 +86,14 @@ def factorize(y_ll) -> LuFactors:
 
 
 def solve(factors: LuFactors, rhs) -> np.ndarray:
-    """Solve A x = rhs using the stored factors."""
+    """Solve A x = rhs using the stored factors.
+
+    ``rhs`` is (n,), or (n, k) for k right-hand sides solved in one call;
+    each column of the solution is bit for bit the solve of that column
+    alone.
+    """
     b = np.asarray(rhs, dtype=complex)
-    if b.shape != (factors.n,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({factors.n},)")
+    if b.ndim not in (1, 2) or b.shape[0] != factors.n:
+        raise ValueError(f"rhs has shape {b.shape}, expected ({factors.n},) "
+                         f"or ({factors.n}, k)")
     return factors.lu.solve(b)

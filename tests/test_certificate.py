@@ -13,6 +13,7 @@ from flowcert.certificate import (
     _column_maxima,
     _dense_kernel as _dense_reference,
     _pass_coupling,
+    _q_norms,
     _unit_triangular,
     check_prior_conditions,
     solution_ball,
@@ -402,6 +403,61 @@ def test_tree_passes_add_non_negative_terms_only(feeder_grid):
 # --- loading measure ------------------------------------------------------------
 
 
+@settings(deadline=None, max_examples=30)
+@given(seed=seeds, n=st.integers(1, 80), k=st.integers(1, 6), meshed=st.booleans())
+def test_row_sums_of_a_block_are_its_columns_row_sums_bitwise(seed, n, k, meshed):
+    # The contract a state-aware certify relies on, on both kernels: the
+    # network's own (the tree kernel on a forest) and its dense kernel.
+    rng = np.random.default_rng(seed)
+    grid = fc.prepare_grid((random_network if meshed else random_tree)(rng, n))
+    block = np.column_stack([_loads(rng, n) for _ in range(k)])
+    for kernel in (grid.kernel, _dense_reference(grid.system, grid.factors, grid.w)):
+        got = kernel.row_sums(block)
+        assert got.shape == (n, k)
+        for j in range(k):
+            assert np.array_equal(got[:, j], kernel.row_sums(block[:, j].copy()))
+
+
+def test_row_sums_block_contract_on_large_networks():
+    # Sizes of the benchmark's networks: a 300-bus meshed grid with fill
+    # and a 1000-bus tree.
+    rng = np.random.default_rng(92)
+    for net in (random_network(rng, 300), random_tree(rng, 1000)):
+        grid = fc.prepare_grid(net)
+        block = np.column_stack([_loads(rng, net.n) for _ in range(3)])
+        kernels = [grid.kernel]
+        if net.n <= 300:
+            kernels.append(_dense_reference(grid.system, grid.factors, grid.w))
+        for kernel in kernels:
+            got = kernel.row_sums(block)
+            for j in range(3):
+                assert np.array_equal(got[:, j], kernel.row_sums(block[:, j].copy()))
+
+
+@settings(deadline=None, max_examples=60)
+@given(x=arrays(np.float64, st.integers(1, 500),
+                elements=st.floats(0.0, 1e3, allow_subnormal=False)))
+def test_q_norms_equal_numpy_norms_exactly(x):
+    norms = _q_norms(x)
+    for q in CONJUGATE_EXPONENT.values():
+        assert norms[q] == float(np.linalg.norm(x, ord=q))
+
+
+def test_prior_products_equal_the_numpy_norm_formula_exactly():
+    rng = np.random.default_rng(93)
+    for _ in range(10):
+        net = random_network(rng, int(rng.integers(1, 60)))
+        kernel = fc.prepare_grid(net).kernel
+        s = random_injections(rng, net.n)
+        abs_s = np.abs(s)
+        for entry in check_prior_conditions(kernel, s).detail:
+            q = CONJUGATE_EXPONENT[entry.p]
+            assert entry.product == kernel.row_norm[entry.p] * float(
+                np.linalg.norm(abs_s, ord=q))
+            assert entry.weighted_product == kernel.weighted_row_norm[entry.p] * float(
+                np.linalg.norm(abs_s / kernel.lam, ord=q))
+
+
 def test_xi_of_zero_is_zero(feeder_grid):
     assert xi(feeder_grid.kernel, np.zeros(12, dtype=complex)) == 0.0
 
@@ -592,20 +648,29 @@ def test_certify_merges_all_sections(feeder_grid, feeder_op, feeder_s_next):
 
 def test_certify_evaluates_xi_three_times(monkeypatch, feeder_grid, feeder_op,
                                          feeder_s_next):
-    # xi(s), xi(s_hat) and xi(s - s_hat): the state-free verdict reuses xi(s)
-    calls = []
-    real = fc.certificate.xi
+    # xi(s), xi(s_hat) and xi(s - s_hat), as the columns of one row_sums
+    # block, each bit for bit what xi gives; the state-free verdict reuses xi(s)
+    kernel = feeder_grid.kernel
+    real_xi, real_row_sums = fc.certificate.xi, type(kernel).row_sums
+    xi_calls, blocks = [], []
 
-    def counted(kernel, s):
-        calls.append(1)
-        return real(kernel, s)
+    def counted_xi(kernel, s):
+        xi_calls.append(1)
+        return real_xi(kernel, s)
 
-    monkeypatch.setattr(fc.certificate, "xi", counted)
-    rep = fc.certify(feeder_grid.kernel, feeder_s_next, w=feeder_grid.w,
+    def counted_row_sums(self, t):
+        blocks.append(t.shape)
+        return real_row_sums(self, t)
+
+    monkeypatch.setattr(fc.certificate, "xi", counted_xi)
+    monkeypatch.setattr(type(kernel), "row_sums", counted_row_sums)
+    rep = fc.certify(kernel, feeder_s_next, w=feeder_grid.w,
                      v_hat=feeder_op.v, s_hat=feeder_op.s)
-    assert len(calls) == 3
+    assert xi_calls == [] and blocks == [(12, 3)]
     assert rep.corollary_ok == (rep.xi_s < 0.25)
-    assert rep.xi_s == real(feeder_grid.kernel, feeder_s_next)
+    assert rep.xi_s == real_xi(kernel, feeder_s_next)
+    assert rep.xi_s_hat == real_xi(kernel, feeder_op.s)
+    assert rep.xi_delta_s == real_xi(kernel, feeder_s_next - feeder_op.s)
 
 
 def test_certify_rejects_stale_operating_point(feeder_grid, feeder_op, feeder_s_next):

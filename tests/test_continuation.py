@@ -4,7 +4,9 @@ import pytest
 import flowcert as fc
 from flowcert.certificate import check_prior_conditions, theorem_conditions
 from flowcert.continuation import sweep, sweep_table
-from netrand import random_injections, random_network
+from flowcert.errors import ConvergenceError, VoltageCollapseError
+from flowcert.fixed_point import solve_fixed_point
+from netrand import random_injections, random_network, random_tree
 
 
 def small_sweep(feeder_net, feeder_s_hat, op=None, **kw):
@@ -171,6 +173,51 @@ def test_empirical_convergence_where_corollary_passes(feeder_net, feeder_s_hat):
                    run_fixed_point=True)
     assert result.fp_converged is not None
     assert not np.any(result.corollary_mask & ~result.fp_converged)
+
+
+def single_outcomes(net, result, fp_tol=1e-9, fp_max_iter=100):
+    """Per grid point, what solve_fixed_point alone returns ("ok") or raises."""
+    grid = fc.prepare_grid(net)
+    out = []
+    for kappa in result.kappa_grid:
+        s = (kappa / net.power_base) * result.direction
+        try:
+            solve_fixed_point(grid.factors, grid.w, s, tol=fp_tol, max_iter=fp_max_iter)
+            out.append("ok")
+        except (ConvergenceError, VoltageCollapseError) as exc:
+            out.append(type(exc).__name__)
+    return out
+
+
+def test_fp_converged_matches_single_solves_past_the_limit():
+    # The grid runs to several times the state-free limit, into columns
+    # that retire at max_iter.
+    rng = np.random.default_rng(62)
+    outcomes = set()
+    for draw in range(6):
+        make = random_network if draw % 2 else random_tree
+        net = make(rng, int(rng.integers(2, 60)))
+        ray = random_injections(rng, net.n)
+        grid = fc.prepare_grid(net)
+        limit = fc.loading_limits(grid.kernel, ray / np.sum(np.abs(ray))).corollary
+        result = sweep(net, ray, kappa_max=6.0 * limit * net.power_base, steps=40)
+        want = single_outcomes(net, result)
+        assert result.fp_converged.tolist() == [x == "ok" for x in want]
+        outcomes.update(want)
+    assert outcomes == {"ok", "ConvergenceError"}
+
+
+def test_fp_converged_matches_single_solves_into_collapse(feeder_net, feeder_grid):
+    # Along s* = -w conj(y_ll w) the first iterate is w + y_ll^-1
+    # conj(s)/conj(w) = 0 up to roundoff at kappa = ||s*||_1: that grid
+    # point collapses.
+    w = feeder_grid.w.w
+    ray = -w * np.conj(feeder_grid.system.y_ll @ w)
+    kappa_max = float(np.sum(np.abs(ray))) * feeder_net.power_base
+    result = sweep(feeder_net, ray, kappa_max=kappa_max, steps=24)
+    want = single_outcomes(feeder_net, result)
+    assert want[-1] == "VoltageCollapseError"
+    assert result.fp_converged.tolist() == [x == "ok" for x in want]
 
 
 def test_sweep_evaluates_prior_conditions_once_per_point(

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 import flowcert as fc
+from flowcert import fixed_point
 from flowcert.errors import ConvergenceError, VoltageCollapseError
-from flowcert.fixed_point import iterate_once, solve_fixed_point
-from netrand import random_injections, random_network, sample_in_ball, scale_to_xi
+from flowcert.fixed_point import SolveResult, _iterate_block, iterate_once, solve_fixed_point
+from netrand import (
+    random_injections,
+    random_network,
+    random_tree,
+    sample_in_ball,
+    scale_to_xi,
+)
 
 
 def scalar_grid(y=1 - 5j):
@@ -193,3 +200,159 @@ def test_u_and_v_coordinate_iterations_agree(feeder_grid, feeder_s_next):
     res = solve_fixed_point(grid.factors, grid.w, feeder_s_next,
                             tol=1e-13, max_iter=60 + 5)
     assert np.max(np.abs(grid.w.w * u - res.v)) < 1e-10
+
+
+# --- the block loop ---------------------------------------------------------------
+
+
+def test_solve_rejects_an_injection_that_is_not_one_vector(feeder_grid):
+    # a scalar or length-1 injection would broadcast over every bus
+    for s in (0.01, np.array([0.01 + 0j]), np.zeros(11), np.zeros((12, 1)), np.zeros((12, 2))):
+        with pytest.raises(ValueError, match="shape"):
+            solve_fixed_point(feeder_grid.factors, feeder_grid.w, s)
+    with pytest.raises(ValueError, match="max_iter"):
+        solve_fixed_point(feeder_grid.factors, feeder_grid.w, np.zeros(12), max_iter=0)
+
+
+def test_a_step_equal_to_tol_does_not_stop_the_iteration(feeder_grid, feeder_s_next):
+    steps = solve_fixed_point(feeder_grid.factors, feeder_grid.w, feeder_s_next).step_history
+    tol = float(steps[2])
+    res = solve_fixed_point(feeder_grid.factors, feeder_grid.w, feeder_s_next, tol=tol)
+    assert res.step_history[2] == tol and res.iterations > 3 and res.final_step < tol
+
+
+def collapsing_injection(grid):
+    """s with G(w) = w + y_ll^-1 conj(s) / conj(w) = 0 up to roundoff, so
+    the first iterate lies below the voltage floor."""
+    return -grid.w.w * np.conj(grid.system.y_ll @ grid.w.w)
+
+
+def ray_injections(grid, rng, count=24, reach=8.0):
+    """Loadings along a random ray from zero to ``reach`` times the
+    state-free limit, where the iteration runs into max_iter, plus a
+    non-finite and a collapsing injection."""
+    d = random_injections(rng, grid.net.n)
+    limit = fc.loading_limits(grid.kernel, d).corollary
+    out = [t * d for t in np.linspace(0.0, reach * limit, count)]
+    nan = d.copy()
+    nan[0] = complex(np.nan, 0.0)
+    return out + [nan, collapsing_injection(grid)]
+
+
+def single(grid, s, **kwargs):
+    """What solve_fixed_point returns or raises for ``s`` on its own."""
+    try:
+        return solve_fixed_point(grid.factors, grid.w, s, **kwargs)
+    except (ConvergenceError, VoltageCollapseError) as exc:
+        return exc
+
+
+def block(grid, injections, ball=None, tol=fixed_point.DEFAULT_TOL, max_iter=60):
+    """Every injection's outcome from one run of the block loop, in order."""
+    got = dict(_iterate_block(grid.factors, grid.w, [(s, ball) for s in injections],
+                              tol, max_iter))
+    return [got[j] for j in range(len(injections))]
+
+
+def assert_same_outcome(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, SolveResult):
+        assert np.array_equal(got.v, want.v)
+        assert got.iterations == want.iterations
+        assert np.array_equal(got.step_history, want.step_history)
+        assert got.final_step == want.final_step
+        assert got.residual == want.residual
+        assert (got.certified, got.contained_in_d) == (want.certified, want.contained_in_d)
+    else:
+        assert str(got) == str(want)
+        if isinstance(want, ConvergenceError):
+            assert got.iterations == want.iterations
+            assert np.array_equal([got.last_step], [want.last_step], equal_nan=True)
+            assert np.array_equal(got.iterate, want.iterate)
+
+
+def plain_loop(grid, s, tol, max_iter):
+    """One column on its own, step by step: the outcome's kind, its step
+    history, the last iterate and the probe's residual (None unless
+    converged)."""
+    v = grid.w.w.copy()
+    steps = []
+    for _ in range(max_iter):
+        v_next = iterate_once(grid.factors, grid.w, s, v)
+        steps.append(float(np.max(np.abs((v_next - v) / grid.w.w))))
+        if not np.isfinite(steps[-1]):
+            return "not finite", steps, v, None
+        v = v_next
+        if steps[-1] < tol:
+            probe = iterate_once(grid.factors, grid.w, s, v)
+            return "converged", steps, v, float(np.max(np.abs((probe - v) / grid.w.w)))
+    return "max_iter", steps, v, None
+
+
+def test_block_columns_follow_the_plain_loop():
+    rng = np.random.default_rng(48)
+    grid = fc.prepare_grid(random_network(rng, 40))
+    injections = ray_injections(grid, rng)[:-1]  # all but the collapsing one
+    kinds = set()
+    for got, s in zip(block(grid, injections, max_iter=30), injections):
+        kind, steps, v, residual = plain_loop(grid, s, fixed_point.DEFAULT_TOL, 30)
+        kinds.add(kind)
+        if kind == "converged":
+            assert np.array_equal(got.step_history, steps)
+            assert np.array_equal(got.v, v) and got.residual == residual
+        else:
+            message = {"not finite": "not finite", "max_iter": "did not converge"}[kind]
+            assert isinstance(got, ConvergenceError) and message in str(got)
+            assert got.iterations == len(steps) and np.array_equal(got.iterate, v)
+    assert kinds == {"converged", "not finite", "max_iter"}
+
+
+def test_block_reproduces_single_solves_bitwise():
+    rng = np.random.default_rng(46)
+    kinds = set()
+    for draw in range(8):
+        make = random_network if draw % 2 else random_tree
+        grid = fc.prepare_grid(make(rng, int(rng.integers(2, 80))))
+        injections = ray_injections(grid, rng)
+        for got, s in zip(block(grid, injections), injections):
+            want = single(grid, s, max_iter=60)
+            assert_same_outcome(got, want)
+            kinds.add(type(want).__name__ if not isinstance(want, ConvergenceError)
+                      else ("not finite" if "finite" in str(want) else "max_iter"))
+    # converged, max_iter, non-finite and collapsed columns all occurred
+    assert kinds == {"SolveResult", "max_iter", "not finite", "VoltageCollapseError"}
+
+
+def test_block_keeps_each_columns_ball(feeder_grid, feeder_op, feeder_s_next):
+    rep = fc.certify(feeder_grid.kernel, feeder_s_next, w=feeder_grid.w,
+                     v_hat=feeder_op.v, s_hat=feeder_op.s)
+    ball = fc.solution_ball(rep, feeder_op.v, feeder_grid.w)
+    injections = [feeder_s_next, 1.001 * feeder_s_next, feeder_op.s]
+    for got, s in zip(block(feeder_grid, injections, ball=ball, max_iter=200), injections):
+        want = single(feeder_grid, s, ball=ball)
+        assert_same_outcome(got, want)
+        assert got.certified and got.contained_in_d is not None
+
+
+def test_refill_keeps_the_block_within_its_budget(feeder_grid, monkeypatch):
+    # A budget of 36 entries holds 3 of feeder13's 12-bus columns, so all
+    # but the first 3 of the 40 injections enter the block as others retire.
+    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    widths = []
+
+    def recorded(factors, w, s, v):
+        widths.append(s.shape[1])
+        return iterate_once(factors, w, s, v)
+
+    monkeypatch.setattr(fixed_point, "iterate_once", recorded)
+    rng = np.random.default_rng(47)
+    injections = ray_injections(feeder_grid, rng, count=38)
+    outcomes = block(feeder_grid, injections)
+    monkeypatch.setattr(fixed_point, "iterate_once", iterate_once)
+    for got, s in zip(outcomes, injections):
+        assert_same_outcome(got, single(feeder_grid, s, max_iter=60))
+    # Full while injections are pending, far longer than any one column
+    # runs (max_iter 60 plus its probe); only then does the block shrink.
+    full = next(i for i, width in enumerate(widths) if width < 3)
+    assert set(widths[:full]) == {3} and full > 61
+    assert widths[full:] == sorted(widths[full:], reverse=True)

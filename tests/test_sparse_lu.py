@@ -81,10 +81,19 @@ def test_columnwise_solves_invert_feeder(feeder_grid):
 
 
 def test_dimension_mismatch_rejected(feeder_grid):
-    with pytest.raises(ValueError, match="shape"):
-        solve(feeder_grid.factors, np.zeros(5, dtype=complex))
-    with pytest.raises(ValueError, match="shape"):
-        solve(feeder_grid.factors, np.zeros((12, 2), dtype=complex))
+    for shape in (5, 13, (13, 2), (12, 2, 1), ()):
+        with pytest.raises(ValueError, match="shape"):
+            solve(feeder_grid.factors, np.zeros(shape, dtype=complex))
+
+
+def test_block_solve_matches_column_solves_bitwise(feeder_grid):
+    rng = np.random.default_rng(15)
+    for k in (1, 2, 7, 40):
+        b = rng.normal(size=(12, k)) + 1j * rng.normal(size=(12, k))
+        x = solve(feeder_grid.factors, b)
+        assert x.shape == (12, k)
+        for j in range(k):
+            assert np.array_equal(x[:, j], solve(feeder_grid.factors, b[:, j]))
 
 
 def test_equivalence_with_dense_oracle_on_random_matrices():
