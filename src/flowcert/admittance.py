@@ -3,10 +3,29 @@
 The full matrix is stamped branch by branch.  A line of admittance y
 between i and j contributes the block [[y, -y], [-y, y]].  A transformer
 with primary-side admittance y and complex ratio K contributes
-[[y, -y/K], [-y/conj(K), y/|K|^2]]; a line is exactly the K = 1 case, so
-one stamping path covers both.  Shunts add onto the diagonal.  The
-load-only submatrix plus the slack coupling column are what every solver
-downstream consumes.
+[[y, -y/K], [-y/conj(K), y/|K|^2]]; a line is exactly the K = 1 case,
+where every quotient is exact, so branches with ratio 1 stamp +-y
+directly.  Shunts add onto the diagonal.  The load-only submatrix plus
+the slack coupling column are what every solver downstream consumes.
+
+All stamps are made at once from the arrays `build_network` caches
+(`network.NetworkArrays`).  Only the transformer quotients take scalar
+arithmetic, because each must round as its expression does on Python
+complex values, and the three round differently: -y/K by CPython's
+complex division, -y/conj(K) by numpy's (``np.conj`` gives a numpy
+scalar), and |K|^2 as CPython's ``abs(K) ** 2``, which is neither
+``np.abs(K) ** 2`` nor ``np.hypot(...) ** 2`` bit for bit.
+
+Canonical order and sequential sum: a cell that receives several stamps
+(parallel branches, both ends of branches meeting at a bus, shunts on a
+branch diagonal) sums them in increasing (real, imag) order of the
+stamped values, one at a time from zero, left to right.  One
+``np.lexsort`` orders every stamp by (column, row, real, imag), with
+column and row as one key, and an unbuffered ``np.add.at`` adds each
+cell's stamps in that order.  Stamps that compare equal are equal up
+to the sign of a zero, which a sum started at +0 does not see, so every
+cell, and with it the matrix, is bitwise the same for any order of the
+branch and bus lists.
 """
 
 from __future__ import annotations
@@ -34,65 +53,71 @@ class AdmittanceSystem:
     n: int
 
 
-def _stamp_triplets(net: NetworkDescription):
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
+def _stamps(net: NetworkDescription):
+    """Every stamp of ``net`` as (rows, cols, values) arrays."""
+    arrays = net.arrays
+    i, j, y, k = arrays.from_pos, arrays.to_pos, arrays.admittance, arrays.ratio
+    y_ij = -y
+    y_ji = y_ij.copy()
+    y_jj = y.copy()
+    t = np.flatnonzero(k != 1)
+    if t.size:
+        y_t, k_t = y[t], k[t]
+        y_list, k_list = y_t.tolist(), k_t.tolist()
+        y_ij[t] = [-a / b for a, b in zip(y_list, k_list)]
+        y_ji[t] = -y_t / np.conj(k_t)
+        square = np.array([abs(b) ** 2 for b in k_list])
+        # y / |K|^2 divides both parts by the real |K|^2 (CPython's
+        # complex / float; numpy's would multiply by its reciprocal)
+        quotient = np.empty(t.size, dtype=complex)
+        quotient.real = y_t.real / square
+        quotient.imag = y_t.imag / square
+        y_jj[t] = quotient
+    shunted = np.flatnonzero(arrays.shunt != 0)
+    rows = np.concatenate([i, i, j, j, shunted])
+    cols = np.concatenate([i, j, i, j, shunted])
+    values = np.concatenate([y, y_ij, y_ji, y_jj, arrays.shunt[shunted]])
+    return rows, cols, values
 
-    def put(i: int, j: int, value: complex) -> None:
-        rows.append(i)
-        cols.append(j)
-        vals.append(value)
 
-    for br in net.branches:
-        i = net.index[br.from_bus]
-        j = net.index[br.to_bus]
-        y = br.admittance
-        k = br.ratio
-        put(i, i, y)
-        put(i, j, -y / k)
-        put(j, i, -y / np.conj(k))
-        put(j, j, y / abs(k) ** 2)
+def _cells(net: NetworkDescription):
+    """The matrix's non-empty cells in column-major order, as (rows,
+    cols, values), each value the canonical sum of the cell's stamps."""
+    rows, cols, values = _stamps(net)
+    cell = cols * (net.n + 1) + rows
+    order = np.lexsort((values.imag, values.real, cell))
+    cell, values = cell[order], values[order]
+    first = np.ones(cell.size, dtype=bool)
+    first[1:] = cell[1:] != cell[:-1]
+    sums = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(sums, np.cumsum(first) - 1, values)
+    return rows[order][first], cols[order][first], sums
 
-    for bus in net.buses:
-        if bus.shunt_admittance != 0:
-            i = net.index[bus.id]
-            put(i, i, bus.shunt_admittance)
 
-    return rows, cols, vals
+def _csc(rows, cols, values, size: int) -> sparse.csc_matrix:
+    """CSC matrix of distinct cells given in column-major order."""
+    indptr = np.zeros(size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=size), out=indptr[1:])
+    return sparse.csc_matrix((values, rows, indptr), shape=(size, size))
 
 
 def full_admittance(net: NetworkDescription) -> sparse.csc_matrix:
     """Assemble the complete (n+1) x (n+1) matrix, slack at index 0.
 
-    Duplicate stamps (parallel branches, shunts on branch diagonals) are
-    summed in a canonical value order, so permuting the branch list
-    yields a bitwise-identical matrix.
+    Duplicate stamps are summed in the canonical order of the module
+    docstring, so permuting the branch list yields a bitwise-identical
+    matrix.
     """
-    rows, cols, vals = _stamp_triplets(net)
-    cells: dict[tuple[int, int], list[complex]] = {}
-    for i, j, v in zip(rows, cols, vals):
-        cells.setdefault((i, j), []).append(v)
-    out_rows: list[int] = []
-    out_cols: list[int] = []
-    out_vals: list[complex] = []
-    for (i, j), parts in sorted(cells.items()):
-        parts.sort(key=lambda z: (z.real, z.imag))
-        out_rows.append(i)
-        out_cols.append(j)
-        out_vals.append(sum(parts))
-    size = net.n + 1
-    coo = sparse.coo_matrix(
-        (np.array(out_vals, dtype=complex), (out_rows, out_cols)),
-        shape=(size, size),
-    )
-    return coo.tocsc()
+    return _csc(*_cells(net), net.n + 1)
 
 
 def build_admittance(net: NetworkDescription) -> AdmittanceSystem:
     """Assemble and partition the admittance matrix for ``net``, with the
     slack at 1 p.u."""
-    y = full_admittance(net)
-    y_ll = y[1:, 1:].tocsc()
-    y_l0 = np.asarray(y[1:, 0].todense()).ravel()
+    rows, cols, values = _cells(net)
+    load = (rows > 0) & (cols > 0)
+    y_ll = _csc(rows[load] - 1, cols[load] - 1, values[load], net.n)
+    y_l0 = np.zeros(net.n, dtype=complex)
+    coupling = (cols == 0) & (rows > 0)
+    y_l0[rows[coupling] - 1] = values[coupling]
     return AdmittanceSystem(y_ll=y_ll, y_l0=y_l0, slack_voltage=1 + 0j, n=net.n)

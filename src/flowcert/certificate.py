@@ -34,7 +34,7 @@ The kernel has two implementations behind one interface, and
 `build_kernel` picks one from what the factors of y_ll show; there is
 no switch.
 
-* `DenseKernel` holds |K| itself, one column solve per bus: O(n^2)
+* `DenseKernel` holds |K| itself, solved for in blocks of columns: O(n^2)
   memory, refused beyond KERNEL_SIZE_CAP.  Any network may take it.
 
 * `TreeKernel` is taken exactly when the load-bus graph is a forest
@@ -76,7 +76,7 @@ from scipy.sparse.linalg import SuperLU, splu
 from .admittance import AdmittanceSystem
 from .errors import InvalidNetworkError
 from .newton import power_mismatch
-from .sparse_lu import LuFactors, solve
+from .sparse_lu import BLOCK_ENTRIES, LuFactors, solve
 from .zero_load import ZeroLoadProfile, u_min as u_min_of
 
 # |K| is n x n: the dense kernel, and abs_k read from a tree kernel, refuse
@@ -225,11 +225,13 @@ def build_kernel(
 
 
 def _abs_kernel(factors: LuFactors, w: ZeroLoadProfile) -> np.ndarray:
-    """|K| by columns: column j of y_ll^-1 comes from one sparse solve
-    against the j-th unit vector and is kept only as its magnitudes, so
-    the complex inverse is never held.  |K| is O(n^2) memory, so
-    networks above KERNEL_SIZE_CAP are refused before anything is
-    allocated.
+    """|K| by column blocks: columns of y_ll^-1 come from one sparse
+    solve against a block of unit vectors of at most BLOCK_ENTRIES
+    entries and are kept only as their magnitudes, so the complex inverse
+    is never held.  SuperLU solves each column of a block bit for bit as
+    alone, so every entry is that of its column's own solve.  |K| is
+    O(n^2) memory, so networks above KERNEL_SIZE_CAP are refused before
+    anything is allocated.
     """
     n = factors.n
     if n > KERNEL_SIZE_CAP:
@@ -237,12 +239,21 @@ def _abs_kernel(factors: LuFactors, w: ZeroLoadProfile) -> np.ndarray:
             f"kernel for n={n} exceeds the size cap {KERNEL_SIZE_CAP}; "
             f"the dense kernel is quadratic in memory"
         )
+    width = max(1, BLOCK_ENTRIES // n)
     abs_k_t = np.empty((n, n))  # row j holds column j of |K|
-    unit = np.zeros(n, dtype=complex)
-    for j in range(n):
-        unit[j] = 1.0
-        abs_k_t[j] = np.abs(solve(factors, unit) / w.w / np.conj(w.w[j]))
-        unit[j] = 0.0
+    units = np.zeros((n, width), dtype=complex)
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        ones = (np.arange(start, stop), np.arange(stop - start))
+        units[ones] = 1.0
+        k_cols = solve(factors, units[:, :stop - start])
+        units[ones] = 0.0
+        # in place, and freed before the next solve: the peak holds one
+        # block of temporaries beside |K|
+        k_cols /= w.w[:, None]
+        k_cols /= np.conj(w.w[start:stop])
+        np.abs(k_cols.T, out=abs_k_t[start:stop])
+        del k_cols
     return abs_k_t.T
 
 

@@ -5,9 +5,10 @@ the unit-1-norm per-unit direction, so the horizontal axis is the total
 apparent power kappa in MVA.  Because the loading measure is absolutely
 homogeneous, each state-free condition holds exactly below a closed-form
 boundary (`certificate.loading_limits`), which gives its mask as well.
-The state-aware mask is evaluated at every grid point; it is an interval
-around the operating point's own loading kappa_hat, whose ends are
-bracketed by bisection.
+The state-aware mask is evaluated at every grid point, with the grid's
+loading measures taken in blocks of columns; it is an interval around
+the operating point's own loading kappa_hat, whose ends are bracketed
+by bisection.
 
 Optionally the plain fixed-point iteration (uncertified, from the
 zero-load profile) is run on the grid points, iterated together in
@@ -25,6 +26,7 @@ from . import certificate as cert
 from .fixed_point import converges
 from .network import NetworkDescription, OperatingPoint
 from .pipeline import prepare_grid
+from .sparse_lu import BLOCK_ENTRIES
 from .zero_load import u_min as u_min_of
 
 DEFAULT_STEPS = 512
@@ -107,13 +109,23 @@ def sweep(
         u_min_val = u_min_of(operating_point.v, grid.w)
         kappa_hat = float(np.sum(np.abs(s_hat))) * base
 
-        def theorem_at(kappa: float) -> bool:
-            xi_delta = cert.xi(kernel, s_at(kappa) - s_hat)
+        def passes(xi_delta: float) -> bool:
             return cert.theorem_conditions(xi_delta_s=xi_delta,
                                            xi_s_hat=xi_s_hat,
                                            u_min=u_min_val)[0]
 
-        theorem_mask = np.array([theorem_at(k) for k in kappa_grid])
+        def theorem_at(kappa: float) -> bool:
+            return passes(cert.xi(kernel, s_at(kappa) - s_hat))
+
+        # the grid's xi(s - s_hat) in blocks of columns, each bit for bit
+        # its own xi call
+        width = max(1, BLOCK_ENTRIES // kernel.n)
+        theorem_mask = np.array([
+            passes(xi_delta)
+            for start in range(0, steps, width)
+            for xi_delta in cert._xi_block(
+                kernel, [s_at(k) - s_hat for k in kappa_grid[start:start + width]])
+        ])
         theorem_interval = _theorem_interval(theorem_at, kappa_hat, kappa_max)
 
     fp_converged = None

@@ -44,18 +44,12 @@ import numpy as np
 
 from .certificate import SolutionBall
 from .errors import ConvergenceError, VoltageCollapseError
-from .sparse_lu import LuFactors, solve
+from .sparse_lu import BLOCK_ENTRIES, LuFactors, solve
 from .zero_load import ZeroLoadProfile
 
 VOLTAGE_FLOOR = 1e-6  # p.u.; below this the injected-current division blows up
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 200
-# Entries (n times columns) a block holds at most.  Sized on the
-# benchmark's sweeps (best of 10, 2-vCPU x86-64 VM): on its 300-bus meshed
-# grid 16384 entries (54 columns) took 61 ms, against 65-69 ms at 2048 to
-# 8192, 63-65 ms at 32768 and 65536, and 135 ms one column at a time; on
-# its 1000-bus feeder every budget from 4096 up took 27-28 ms.
-BLOCK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)

@@ -18,14 +18,20 @@ Branch admittances are already per-unit; only powers carry an MVA base
 conversion.  Injection and operating-point scenario files are separate
 documents so one grid can be paired with many scenarios (see
 `parse_injections` / `parse_operating_point`).
+
+`build_network` is the one constructor of a `NetworkDescription`.  In
+the pass that validates the records it also caches, outside the
+network's equality (``==`` compares buses, branches and bases only),
+what assembly needs: ``index`` (bus id -> position, slack 0) and
+``arrays`` (`NetworkArrays`: each branch's endpoint positions,
+admittance and ratio, and each bus's shunt, as numpy arrays).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -78,13 +84,36 @@ class OperatingPoint:
 
 
 @dataclass(frozen=True)
+class NetworkArrays:
+    """A network's branches and shunts as arrays, in record order.
+
+    ``from_pos`` and ``to_pos`` hold each branch's endpoint positions in
+    ``buses`` (slack 0); ``admittance`` and ``ratio`` are per branch,
+    ``shunt`` per bus in ``buses`` order.
+    """
+
+    from_pos: np.ndarray
+    to_pos: np.ndarray
+    admittance: np.ndarray
+    ratio: np.ndarray
+    shunt: np.ndarray
+
+
+@dataclass(frozen=True)
 class NetworkDescription:
-    """Validated, immutable network with deterministic bus ordering."""
+    """Validated, immutable network with deterministic bus ordering.
+
+    Made by `build_network` only, which derives ``index`` and ``arrays``
+    from the other fields (see the module docstring); they take no part
+    in equality.
+    """
 
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
     power_base: float
     voltage_base: float
+    index: dict[str, int] = field(compare=False, repr=False)
+    arrays: NetworkArrays = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -98,11 +127,6 @@ class NetworkDescription:
     @property
     def load_buses(self) -> tuple[Bus, ...]:
         return self.buses[1:]
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Bus id -> position in ``buses`` (slack is 0)."""
-        return {bus.id: i for i, bus in enumerate(self.buses)}
 
     def load_index(self, bus_id: str) -> int:
         """Bus id -> 0-based index into length-n load vectors."""
@@ -133,20 +157,28 @@ def build_network(
 ) -> NetworkDescription:
     """Validate components and fix the canonical bus ordering.
 
-    Raises InvalidNetworkError on any model violation: duplicate ids,
-    slack count != 1, dangling branch endpoints, non-positive branch
-    conductance, negative shunt conductance, self-loops, non-unit line
-    ratios, or a disconnected graph.
+    Raises InvalidNetworkError on any model violation: non-finite
+    values, duplicate ids, slack count != 1, dangling branch endpoints,
+    non-positive branch conductance, negative shunt conductance,
+    self-loops, non-unit line ratios, or a disconnected graph.  Records
+    are checked in order, and each against its rules in the order of its
+    messages below, so the error names the first faulty record and its
+    first broken rule.
     """
-    if power_base <= 0:
-        raise InvalidNetworkError(f"power base must be positive, got {power_base}")
-    if voltage_base <= 0:
-        raise InvalidNetworkError(f"voltage base must be positive, got {voltage_base}")
+    for name, base in (("power", power_base), ("voltage", voltage_base)):
+        if not math.isfinite(base):
+            raise InvalidNetworkError(f"{name} base must be finite, got {base}")
+        if base <= 0:
+            raise InvalidNetworkError(f"{name} base must be positive, got {base}")
 
     seen: set[str] = set()
     slack_buses = []
     load_buses = []
     for bus in buses:
+        if not _finite(bus.shunt_admittance):
+            raise InvalidNetworkError(
+                f"bus {bus.id!r} has non-finite shunt admittance {bus.shunt_admittance}"
+            )
         if bus.id in seen:
             raise InvalidNetworkError(f"duplicate bus id {bus.id!r}")
         seen.add(bus.id)
@@ -165,55 +197,86 @@ def build_network(
         raise InvalidNetworkError(
             f"expected exactly one slack bus, found {len(slack_buses)}"
         )
+    ordered = (slack_buses[0], *load_buses)
+    index = {bus.id: i for i, bus in enumerate(ordered)}
 
+    branches = tuple(branches)
+    from_pos: list[int] = []
+    to_pos: list[int] = []
     for br in branches:
-        label = f"branch {br.from_bus!r}->{br.to_bus!r}"
-        if br.from_bus == br.to_bus:
-            raise InvalidNetworkError(f"{label} is a self-loop")
-        for end in (br.from_bus, br.to_bus):
-            if end not in seen:
-                raise InvalidNetworkError(f"{label} references unknown bus {end!r}")
-        if br.kind not in (LINE, TRANSFORMER):
-            raise InvalidNetworkError(f"{label} has unknown kind {br.kind!r}")
-        if br.admittance.real <= 0:
-            raise InvalidNetworkError(
-                f"{label} has non-positive conductance {br.admittance.real}"
-            )
-        if br.ratio == 0:
-            raise InvalidNetworkError(f"{label} has zero ratio")
-        if br.kind == LINE and br.ratio != 1:
-            raise InvalidNetworkError(f"{label} is a line but its ratio is not 1")
+        i, j = index.get(br.from_bus), index.get(br.to_bus)
+        fault = _branch_fault(br, i, j)
+        if fault:
+            raise InvalidNetworkError(f"branch {br.from_bus!r}->{br.to_bus!r} {fault}")
+        from_pos.append(i)
+        to_pos.append(j)
 
-    net = NetworkDescription(
-        buses=(slack_buses[0], *load_buses),
-        branches=tuple(branches),
+    unreachable = _first_unreachable(len(ordered), from_pos, to_pos)
+    if unreachable is not None:
+        raise InvalidNetworkError(
+            f"network is disconnected: bus {ordered[unreachable].id!r} is not "
+            f"reachable from the slack bus"
+        )
+    return NetworkDescription(
+        buses=ordered,
+        branches=branches,
         power_base=float(power_base),
         voltage_base=float(voltage_base),
+        index=index,
+        arrays=NetworkArrays(
+            from_pos=np.array(from_pos, dtype=np.intp),
+            to_pos=np.array(to_pos, dtype=np.intp),
+            admittance=np.array([br.admittance for br in branches], dtype=complex),
+            ratio=np.array([br.ratio for br in branches], dtype=complex),
+            shunt=np.array([bus.shunt_admittance for bus in ordered], dtype=complex),
+        ),
     )
 
-    unreachable = _unreachable_buses(net)
-    if unreachable:
-        raise InvalidNetworkError(
-            f"network is disconnected: bus {unreachable[0]!r} is not reachable "
-            f"from the slack bus"
-        )
-    return net
+
+def _finite(z: complex) -> bool:
+    return math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _unreachable_buses(net: NetworkDescription) -> list[str]:
-    adjacency: dict[str, list[str]] = {bus.id: [] for bus in net.buses}
-    for br in net.branches:
-        adjacency[br.from_bus].append(br.to_bus)
-        adjacency[br.to_bus].append(br.from_bus)
-    seen = {net.slack.id}
-    queue = deque([net.slack.id])
-    while queue:
-        node = queue.popleft()
-        for other in adjacency[node]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    return [bus.id for bus in net.buses if bus.id not in seen]
+def _branch_fault(br: Branch, i: int | None, j: int | None) -> str | None:
+    """The first rule ``br`` breaks, as the rest of its error message, or
+    None; ``i`` and ``j`` are its endpoints' positions (None if unknown)."""
+    if not _finite(br.admittance):
+        return f"has non-finite admittance {br.admittance}"
+    if not _finite(br.ratio):
+        return f"has non-finite ratio {br.ratio}"
+    if br.from_bus == br.to_bus:
+        return "is a self-loop"
+    if i is None:
+        return f"references unknown bus {br.from_bus!r}"
+    if j is None:
+        return f"references unknown bus {br.to_bus!r}"
+    if br.kind not in (LINE, TRANSFORMER):
+        return f"has unknown kind {br.kind!r}"
+    if br.admittance.real <= 0:
+        return f"has non-positive conductance {br.admittance.real}"
+    if br.ratio == 0:
+        return "has zero ratio"
+    if br.kind == LINE and br.ratio != 1:
+        return "is a line but its ratio is not 1"
+    return None
+
+
+def _first_unreachable(n_buses: int, from_pos, to_pos) -> int | None:
+    """Position of the first bus that no path of branches joins to the
+    slack (position 0), or None when every bus is reached."""
+    adjacency: list[list[int]] = [[] for _ in range(n_buses)]
+    for a, b in zip(from_pos, to_pos):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    reached = [False] * n_buses
+    reached[0] = True
+    stack = [0]
+    while stack:
+        for other in adjacency[stack.pop()]:
+            if not reached[other]:
+                reached[other] = True
+                stack.append(other)
+    return None if all(reached) else reached.index(False)
 
 
 # --- document parsing -------------------------------------------------------

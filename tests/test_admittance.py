@@ -1,10 +1,119 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import flowcert as fc
 from netrand import random_network
 
 rng_positivity = np.random.default_rng(101)
+
+
+# --- reference: stamping one branch at a time --------------------------------
+
+
+def reference_full_admittance(net):
+    """The scalar assembly: each branch's four stamps and each shunt,
+    grouped per cell in a dict, each cell's stamps sorted by (real, imag)
+    and added with ``sum``."""
+    rows, cols, vals = [], [], []
+
+    def put(i, j, value):
+        rows.append(i)
+        cols.append(j)
+        vals.append(value)
+
+    for br in net.branches:
+        i = net.index[br.from_bus]
+        j = net.index[br.to_bus]
+        y = br.admittance
+        k = br.ratio
+        put(i, i, y)
+        put(i, j, -y / k)
+        put(j, i, -y / np.conj(k))
+        put(j, j, y / abs(k) ** 2)
+    for bus in net.buses:
+        if bus.shunt_admittance != 0:
+            i = net.index[bus.id]
+            put(i, i, bus.shunt_admittance)
+
+    cells = {}
+    for i, j, v in zip(rows, cols, vals):
+        cells.setdefault((i, j), []).append(v)
+    out_rows, out_cols, out_vals = [], [], []
+    for (i, j), parts in sorted(cells.items()):
+        parts.sort(key=lambda z: (z.real, z.imag))
+        out_rows.append(i)
+        out_cols.append(j)
+        out_vals.append(sum(parts))
+    size = net.n + 1
+    coo = sparse.coo_matrix(
+        (np.array(out_vals, dtype=complex), (out_rows, out_cols)),
+        shape=(size, size),
+    )
+    return coo.tocsc()
+
+
+def bits(matrix):
+    """A CSC matrix's structure and its values' bit patterns."""
+    return (matrix.indptr.tolist(), matrix.indices.tolist(),
+            matrix.data.view(np.int64).tolist())
+
+
+admittances = st.builds(
+    complex,
+    st.floats(1e-3, 1e3),
+    st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3)),
+)
+ratios = st.one_of(
+    st.just(1 + 0j),
+    st.builds(cmath.rect, st.floats(0.5, 2.0), st.floats(-0.6, 0.6)),
+)
+shunts = st.one_of(
+    st.just(0j),
+    st.builds(complex, st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, -0.0, 2.0])),
+    st.builds(complex, st.floats(0.0, 10.0), st.floats(-10.0, 10.0)),
+)
+
+
+@st.composite
+def stamped_networks(draw):
+    """Connected networks with parallel branches (some exact copies),
+    transformers declared from either side, shunts on branch ends, and
+    the branch list permuted."""
+    n = draw(st.integers(1, 7))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n + 1)]
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, n), st.integers(0, n)).filter(lambda p: p[0] != p[1]),
+        max_size=n))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))  # parallel
+    branches = []
+    for a, b in pairs:
+        y, k = draw(admittances), draw(ratios)
+        if k == 1 and draw(st.booleans()):
+            branches.append(fc.Branch(str(a), str(b), "line", y))
+        elif draw(st.booleans()):
+            branches.append(fc.Branch(str(a), str(b), "transformer", y, k))
+        else:  # the same transformer, declared from its other side
+            branches.append(fc.Branch(str(b), str(a), "transformer", y / abs(k) ** 2, 1 / k))
+    branches += draw(st.lists(st.sampled_from(branches), max_size=2))  # exact copies
+    buses = [fc.Bus("0", "slack", draw(shunts))]
+    buses += [fc.Bus(str(i), "load", draw(shunts)) for i in range(1, n + 1)]
+    return fc.build_network(buses, draw(st.permutations(branches)), 1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stamped_networks())
+def test_stamping_matches_the_scalar_reference_bitwise(net):
+    reference = reference_full_admittance(net)
+    assert bits(fc.full_admittance(net)) == bits(reference)
+    system = fc.build_admittance(net)
+    assert bits(system.y_ll) == bits(reference[1:, 1:].tocsc())
+    y_l0 = np.asarray(reference[1:, 0].todense()).ravel()
+    assert system.y_l0.view(np.int64).tolist() == y_l0.view(np.int64).tolist()
 
 
 def test_single_line_blocks(two_bus_net):
@@ -77,12 +186,20 @@ def test_zero_row_sums_without_transformers_or_shunts():
 def test_stamping_is_order_independent():
     rng = np.random.default_rng(4)
     net = random_network(rng, 8)
-    shuffled = fc.build_network(
-        net.buses, list(reversed(net.branches)), net.power_base, net.voltage_base
+    # the same network with a parallel branch beside each of three branches
+    parallel = fc.build_network(
+        net.buses,
+        [*net.branches,
+         *(fc.Branch(br.from_bus, br.to_bus, br.kind, 1.37 * br.admittance, br.ratio)
+           for br in net.branches[:3])],
+        net.power_base, net.voltage_base,
     )
-    assert np.array_equal(
-        fc.full_admittance(net).toarray(), fc.full_admittance(shuffled).toarray()
-    )
+    for network in (net, parallel):
+        shuffled = fc.build_network(
+            network.buses, list(reversed(network.branches)),
+            network.power_base, network.voltage_base,
+        )
+        assert bits(fc.full_admittance(network)) == bits(fc.full_admittance(shuffled))
 
 
 def test_transformer_reciprocity():

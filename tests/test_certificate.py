@@ -60,6 +60,21 @@ def test_kernel_identity_product():
     assert np.max(np.abs(grid.kernel.abs_k - np.abs(np.linalg.inv(scaled)))) < 1e-8
 
 
+def test_abs_kernel_column_blocks_equal_single_column_solves_bitwise(monkeypatch):
+    rng = np.random.default_rng(32)
+    grid = fc.prepare_grid(random_network(rng, 23))
+    n, w = grid.factors.n, grid.w.w
+    want = np.empty((n, n))
+    for j in range(n):
+        unit = np.zeros(n, dtype=complex)
+        unit[j] = 1.0
+        want[:, j] = np.abs(fc.solve(grid.factors, unit) / w / np.conj(w[j]))
+    # a budget of 5 columns: four full blocks and a last one of 3
+    monkeypatch.setattr(fc.certificate, "BLOCK_ENTRIES", 5 * n)
+    got = fc.certificate._abs_kernel(grid.factors, grid.w)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _with_branches(net, extra):
     return fc.build_network(list(net.buses), list(net.branches) + extra,
                             power_base=1.0, voltage_base=1.0)

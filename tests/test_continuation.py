@@ -61,6 +61,35 @@ def test_nesting_on_random_networks():
         assert not np.any(result.improved_mask & ~result.corollary_mask)
 
 
+@pytest.mark.parametrize("make,path", [(random_tree, "tree"), (random_network, "dense")])
+def test_theorem_mask_equals_per_point_evaluation(make, path, monkeypatch):
+    rng = np.random.default_rng(67)
+    net = make(rng, 40)
+    grid = fc.prepare_grid(net)
+    assert grid.kernel.path == path
+    s_hat = -rng.uniform(0.5, 1.5, net.n) * (1 + 0.48j)
+    s_hat *= 0.05 / fc.xi(grid.kernel, s_hat)
+    v_hat = solve_fixed_point(grid.factors, grid.w, s_hat, tol=1e-13).v
+    op = fc.OperatingPoint(v=v_hat, s=s_hat, provenance="solved")
+    kappa_max = 10.0 * float(np.sum(np.abs(s_hat)))
+    # blocks of 7 grid points: 14 full blocks and a last one of 2
+    monkeypatch.setattr(fc.continuation, "BLOCK_ENTRIES", 7 * net.n)
+    result = sweep(net, s_hat, operating_point=op, kappa_max=kappa_max, steps=100,
+                   run_fixed_point=False)
+
+    u_min = fc.u_min(v_hat, grid.w)
+    xi_s_hat = fc.xi(grid.kernel, s_hat)
+    want = [
+        theorem_conditions(xi_s_hat,
+                           fc.xi(grid.kernel, (kappa / net.power_base) * result.direction
+                                 - s_hat),
+                           u_min)[0]
+        for kappa in result.kappa_grid
+    ]
+    assert result.theorem_mask.tolist() == want
+    assert 0 < sum(want) < len(want)
+
+
 def test_theorem_interval_brackets_mask(feeder_net, feeder_s_hat, feeder_op):
     result = small_sweep(feeder_net, feeder_s_hat, feeder_op, steps=256)
     assert result.theorem_mask is not None

@@ -53,6 +53,50 @@ def test_build_network_names_unreachable_bus():
         )
 
 
+def _two_bus(branch=None, shunt=0j, power_base=1.0):
+    branch = branch or fc.Branch("0", "1", "line", 1 - 10j)
+    return [fc.Bus("0", "slack"), fc.Bus("1", "load", shunt)], [branch], power_base, 1.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (_two_bus(fc.Branch("0", "1", "line", complex(NAN, -10))),
+         "branch '0'->'1' has non-finite admittance (nan-10j)"),
+        (_two_bus(fc.Branch("0", "1", "transformer", 1 - 10j, complex(1, NAN))),
+         "branch '0'->'1' has non-finite ratio (1+nanj)"),
+        (_two_bus(shunt=complex(0, INF)),
+         "bus '1' has non-finite shunt admittance infj"),
+        (_two_bus(power_base=NAN), "power base must be finite, got nan"),
+    ],
+    ids=["nan admittance", "nan ratio", "inf shunt", "nan power base"],
+)
+def test_build_network_rejects_non_finite_values(args, message):
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        fc.build_network(*args)
+    assert str(excinfo.value) == message
+
+
+def test_build_network_reports_the_first_faulty_branch_and_its_first_rule():
+    buses = [fc.Bus("0", "slack"), fc.Bus("1", "load"), fc.Bus("2", "load")]
+    branches = [
+        fc.Branch("0", "1", "line", 1 - 2j),
+        # unknown end, unknown kind and zero conductance: the end is checked first
+        fc.Branch("1", "9", "cable", 0 - 2j),
+        # non-finite admittance, checked before every other rule of a branch
+        fc.Branch("2", "2", "line", complex(NAN, 1)),
+    ]
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        fc.build_network(buses, branches, 1.0, 1.0)
+    assert str(excinfo.value) == "branch '1'->'9' references unknown bus '9'"
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        fc.build_network(buses, branches[::2], 1.0, 1.0)
+    assert str(excinfo.value) == "branch '2'->'2' has non-finite admittance (nan+1j)"
+
+
 def test_feeder_fixture_has_twelve_load_buses(feeder_net):
     assert feeder_net.n == 12
     assert feeder_net.is_radial
