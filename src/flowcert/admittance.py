@@ -3,18 +3,13 @@
 The full matrix is stamped branch by branch.  A line of admittance y
 between i and j contributes the block [[y, -y], [-y, y]].  A transformer
 with primary-side admittance y and complex ratio K contributes
-[[y, -y/K], [-y/conj(K), y/|K|^2]]; a line is exactly the K = 1 case,
-where every quotient is exact, so branches with ratio 1 stamp +-y
-directly.  Shunts add onto the diagonal.  The load-only submatrix plus
-the slack coupling column are what every solver downstream consumes.
-
-All stamps are made at once from the arrays `build_network` caches
-(`network.NetworkArrays`).  Only the transformer quotients take scalar
-arithmetic, because each must round as its expression does on Python
-complex values, and the three round differently: -y/K by CPython's
-complex division, -y/conj(K) by numpy's (``np.conj`` gives a numpy
-scalar), and |K|^2 as CPython's ``abs(K) ** 2``, which is neither
-``np.abs(K) ** 2`` nor ``np.hypot(...) ** 2`` bit for bit.
+[[y, -y/K], [-y/conj(K), y/|K|^2]].  A line is the K = 1 case, for
+which each quotient is exact up to the sign of a zero (see below), so
+every branch stamps through these four expressions, each one numpy
+array operation over the arrays `build_network` caches
+(`network.NetworkArrays`).  Shunts add onto the diagonal.  The
+load-only submatrix plus the slack coupling column are what every
+solver downstream consumes.
 
 Canonical order and sequential sum: a cell that receives several stamps
 (parallel branches, both ends of branches meeting at a bus, shunts on a
@@ -57,26 +52,11 @@ def _stamps(net: NetworkDescription):
     """Every stamp of ``net`` as (rows, cols, values) arrays."""
     arrays = net.arrays
     i, j, y, k = arrays.from_pos, arrays.to_pos, arrays.admittance, arrays.ratio
-    y_ij = -y
-    y_ji = y_ij.copy()
-    y_jj = y.copy()
-    t = np.flatnonzero(k != 1)
-    if t.size:
-        y_t, k_t = y[t], k[t]
-        y_list, k_list = y_t.tolist(), k_t.tolist()
-        y_ij[t] = [-a / b for a, b in zip(y_list, k_list)]
-        y_ji[t] = -y_t / np.conj(k_t)
-        square = np.array([abs(b) ** 2 for b in k_list])
-        # y / |K|^2 divides both parts by the real |K|^2 (CPython's
-        # complex / float; numpy's would multiply by its reciprocal)
-        quotient = np.empty(t.size, dtype=complex)
-        quotient.real = y_t.real / square
-        quotient.imag = y_t.imag / square
-        y_jj[t] = quotient
     shunted = np.flatnonzero(arrays.shunt != 0)
     rows = np.concatenate([i, i, j, j, shunted])
     cols = np.concatenate([i, j, i, j, shunted])
-    values = np.concatenate([y, y_ij, y_ji, y_jj, arrays.shunt[shunted]])
+    values = np.concatenate(
+        [y, -y / k, -y / np.conj(k), y / np.abs(k) ** 2, arrays.shunt[shunted]])
     return rows, cols, values
 
 

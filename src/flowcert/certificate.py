@@ -580,8 +580,9 @@ def check_prior_conditions(kernel: KernelMatrix, s: np.ndarray) -> PriorConditio
     superset of the plain one by construction.
 
     O(n) per call: the row norms and the weights come cached in ``kernel``.
+    Raises ValueError unless ``s`` is one injection of shape (n,).
     """
-    abs_s = np.abs(np.asarray(s, dtype=complex))
+    abs_s = np.abs(_injection(kernel, s))
     plain_norm, weighted_norm = _q_norms(abs_s), _q_norms(abs_s / kernel.lam)
     entries = []
     for p, q in CONJUGATE_EXPONENT.items():

@@ -18,6 +18,7 @@ converges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ def sweep(
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
-    if kappa_max <= 0:
-        raise ValueError(f"kappa_max must be positive, got {kappa_max}")
+    if not (math.isfinite(kappa_max) and kappa_max > 0):
+        raise ValueError(f"kappa_max must be finite and positive, got {kappa_max}")
     injections = np.asarray(injections, dtype=complex)
     total = float(np.sum(np.abs(injections)))
     if total == 0:

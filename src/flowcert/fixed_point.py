@@ -131,6 +131,8 @@ def _iterate_block(factors, w, columns, tol, max_iter):
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     n = w.w.shape[0]
     width = max(1, BLOCK_ENTRIES // n)
     pending = enumerate(columns)

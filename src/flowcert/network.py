@@ -414,7 +414,12 @@ def parse_injections(net: NetworkDescription, text: str) -> np.ndarray:
     Document: ``{"injections": [{"bus", "p_mw", "q_mvar"}, ...]}``.
     Buses not listed get zero injection; the slack bus may not appear.
     """
-    doc = _load_json(text, "injection document")
+    return _injections(net, _load_json(text, "injection document"))
+
+
+def _injections(net: NetworkDescription, doc: dict) -> np.ndarray:
+    """The per-unit load vector of the parsed document ``doc``'s
+    ``injections`` records (see `parse_injections`)."""
     s = np.zeros(net.n, dtype=complex)
     filled: set[str] = set()
     for rec in _records(doc, "injections", "injection document"):
@@ -468,7 +473,7 @@ def parse_operating_point(net: NetworkDescription, text: str) -> OperatingPoint:
         bus = net.load_buses[int(np.flatnonzero(missing)[0])]
         raise InvalidNetworkError(f"missing voltage for bus {bus.id!r}")
 
-    s = parse_injections(net, json.dumps({"injections": doc.get("injections", [])}))
+    s = _injections(net, {"injections": doc.get("injections", [])})
     return OperatingPoint(v=v, s=s, provenance=provenance)
 
 

@@ -68,15 +68,7 @@ def solve_document(result, net) -> dict:
         "residual": result.residual,
         "certified": result.certified,
         "contained_in_d": result.contained_in_d,
-        "voltages": [
-            {
-                "bus": bus.id,
-                "re": float(result.v[i].real),
-                "im": float(result.v[i].imag),
-                "magnitude": float(abs(result.v[i])),
-            }
-            for i, bus in enumerate(net.load_buses)
-        ],
+        "voltages": _voltages(result.v, net),
     }
 
 
@@ -99,13 +91,18 @@ def failed_solve_document(error, net) -> dict:
         doc["final_step"] = float(last_step)
     iterate = getattr(error, "iterate", None)
     if iterate is not None:
-        doc["voltages"] = [
-            {
-                "bus": bus.id,
-                "re": float(iterate[i].real),
-                "im": float(iterate[i].imag),
-                "magnitude": float(abs(iterate[i])),
-            }
-            for i, bus in enumerate(net.load_buses)
-        ]
+        doc["voltages"] = _voltages(iterate, net)
     return doc
+
+
+def _voltages(v, net) -> list[dict]:
+    """The ``voltages`` entries of a solve document for load voltages ``v``."""
+    return [
+        {
+            "bus": bus.id,
+            "re": float(v[i].real),
+            "im": float(v[i].imag),
+            "magnitude": float(abs(v[i])),
+        }
+        for i, bus in enumerate(net.load_buses)
+    ]

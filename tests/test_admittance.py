@@ -16,7 +16,8 @@ rng_positivity = np.random.default_rng(101)
 
 
 def reference_full_admittance(net):
-    """The scalar assembly: each branch's four stamps and each shunt,
+    """The scalar assembly: each branch's four stamps (the quotients by
+    numpy's division, as the array assembly takes them) and each shunt,
     grouped per cell in a dict, each cell's stamps sorted by (real, imag)
     and added with ``sum``."""
     rows, cols, vals = [], [], []
@@ -32,9 +33,9 @@ def reference_full_admittance(net):
         y = br.admittance
         k = br.ratio
         put(i, i, y)
-        put(i, j, -y / k)
-        put(j, i, -y / np.conj(k))
-        put(j, j, y / abs(k) ** 2)
+        put(i, j, np.divide(-y, k))
+        put(j, i, np.divide(-y, np.conj(k)))
+        put(j, j, np.divide(y, np.square(np.abs(k))))
     for bus in net.buses:
         if bus.shunt_admittance != 0:
             i = net.index[bus.id]

@@ -592,6 +592,13 @@ def test_rho_below_u_min_whenever_theorem_passes():
 # --- prior conditions -------------------------------------------------------------
 
 
+def test_priors_reject_an_injection_that_is_not_one_vector(feeder_grid):
+    # a length-1 injection would broadcast against the kernel's weights
+    for s in (np.array([0.01 + 0.005j]), np.zeros(11), np.zeros((12, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            check_prior_conditions(feeder_grid.kernel, s)
+
+
 def test_priors_pass_at_zero_injection(feeder_grid):
     res = check_prior_conditions(feeder_grid.kernel, np.zeros(12, dtype=complex))
     assert res.bolognani_ok and res.improved_ok

@@ -284,6 +284,22 @@ def test_non_finite_step_writes_failed_document(tmp_path, capsys):
     assert "final_step" not in doc
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("subcommand,option", [
+    ("sweep", "--kappa-max"), ("sweep", "--tol"), ("solve", "--tol"),
+])
+def test_range_or_tolerance_that_is_not_finite_and_positive_is_input_error(
+    tmp_path, capsys, subcommand, option, value
+):
+    out = tmp_path / "out"
+    extra = ["--steps", "4"] if subcommand == "sweep" else []
+    code = run([subcommand, "--network", NETWORK, "--injections", S_NEXT,
+                *extra, option, value, "--out", str(out)])
+    assert code == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_garbage_network_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

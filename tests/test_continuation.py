@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -271,10 +273,13 @@ def test_sweep_evaluates_prior_conditions_once_per_point(
 def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat):
     with pytest.raises(ValueError, match="grid points"):
         sweep(feeder_net, feeder_s_hat, steps=1)
-    with pytest.raises(ValueError, match="kappa_max"):
-        sweep(feeder_net, feeder_s_hat, kappa_max=0.0)
     with pytest.raises(ValueError, match="zero"):
         sweep(feeder_net, np.zeros(feeder_net.n, dtype=complex))
+    for value in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="kappa_max must be finite and positive"):
+            sweep(feeder_net, feeder_s_hat, kappa_max=value, steps=4)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            sweep(feeder_net, feeder_s_hat, kappa_max=1.0, steps=4, fp_tol=value)
 
 
 def test_sweep_table_shape(feeder_net, feeder_s_hat, feeder_op):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,14 @@ def test_solve_rejects_an_injection_that_is_not_one_vector(feeder_grid):
             solve_fixed_point(feeder_grid.factors, feeder_grid.w, s)
     with pytest.raises(ValueError, match="max_iter"):
         solve_fixed_point(feeder_grid.factors, feeder_grid.w, np.zeros(12), max_iter=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solves_reject_a_tolerance_that_is_not_finite_and_positive(feeder_grid, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        solve_fixed_point(feeder_grid.factors, feeder_grid.w, np.zeros(12), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, [np.zeros(12)], tol=tol)
 
 
 def test_a_step_equal_to_tol_does_not_stop_the_iteration(feeder_grid, feeder_s_next):

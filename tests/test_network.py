@@ -266,6 +266,34 @@ def test_operating_point_round_trip(feeder_net, feeder_op, feeder_s_hat):
     assert np.array_equal(feeder_op.s, feeder_s_hat)
 
 
+@pytest.mark.parametrize(
+    "injections",
+    [
+        [{"bus": "99", "p_mw": 1, "q_mvar": 0}],
+        [{"bus": "1", "p_mw": float("nan"), "q_mvar": 0}],
+        [{"bus": "1", "p_mw": 1}],
+        [7],
+        {"bus": "1"},
+    ],
+)
+def test_operating_point_injections_fail_as_injection_documents_do(
+    feeder_net, injections
+):
+    voltages = [{"bus": bus.id, "re": 1.0, "im": 0.0} for bus in feeder_net.load_buses]
+    with pytest.raises(InvalidNetworkError) as plain:
+        fc.parse_injections(feeder_net, json.dumps({"injections": injections}))
+    with pytest.raises(InvalidNetworkError) as paired:
+        fc.parse_operating_point(
+            feeder_net, json.dumps({"voltages": voltages, "injections": injections}))
+    assert str(paired.value) == str(plain.value)
+
+
+def test_operating_point_without_injections_has_zero_injection(feeder_net):
+    voltages = [{"bus": bus.id, "re": 1.0, "im": 0.0} for bus in feeder_net.load_buses]
+    op = fc.parse_operating_point(feeder_net, json.dumps({"voltages": voltages}))
+    assert np.array_equal(op.s, np.zeros(feeder_net.n, dtype=complex))
+
+
 def test_operating_point_requires_all_voltages(feeder_net):
     doc = {"voltages": [{"bus": "1", "re": 1.0, "im": 0.0}], "injections": []}
     with pytest.raises(InvalidNetworkError, match="missing voltage"):
