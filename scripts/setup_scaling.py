@@ -10,7 +10,13 @@ buses, times in process, best of ``--repeats``:
     kernel     build_kernel
 
 and prints one table in milliseconds.  Parse plus the four stages of
-`prepare_grid` is the set-up a controller pays once per network.
+`prepare_grid` is the set-up a controller pays once per network.  Two
+more columns time what a controller pays per operating point and per
+injection:
+
+    op_parse   parse_operating_point on a document of the zero-load
+               voltages with one injection per load bus (ms)
+    xi         one xi call on the kernel (us, best of 20 per repeat)
 
 Run from the repository root:  python scripts/setup_scaling.py
 (``--sizes 1000 10000`` for a quicker table).
@@ -32,6 +38,7 @@ sys.path.insert(0, str(REPO / "src"))
 import flowcert as fc  # noqa: E402
 
 STAGES = ("parse", "admittance", "factorize", "w", "kernel")
+EXTRAS = ("op_parse", "xi")
 
 
 def chain_document(n: int, rng: np.random.Generator) -> str:
@@ -65,9 +72,24 @@ def _document(n, pairs, rng, *, transformers):
     return json.dumps(doc)
 
 
-def time_stages(text: str, repeats: int) -> dict[str, float]:
-    """Best time of each stage over ``repeats`` full set-ups, in ms."""
-    best = dict.fromkeys(STAGES, float("inf"))
+def operating_point_document(net, w: np.ndarray, rng: np.random.Generator) -> str:
+    """The zero-load voltages ``w`` and one consuming injection per load bus."""
+    p = rng.uniform(0.5, 1.5, net.n) * net.power_base
+    ids = [bus.id for bus in net.load_buses]
+    return json.dumps({
+        "provenance": "measured",
+        "voltages": [{"bus": bus, "re": float(v.real), "im": float(v.imag)}
+                     for bus, v in zip(ids, w)],
+        "injections": [{"bus": bus, "p_mw": -float(x), "q_mvar": -0.48 * float(x)}
+                       for bus, x in zip(ids, p)],
+    })
+
+
+def time_stages(text: str, repeats: int, rng: np.random.Generator) -> dict[str, float]:
+    """Best time of each stage over ``repeats`` full set-ups, in ms, and
+    of ``op_parse`` (ms) and ``xi`` (us) on what they built."""
+    best = dict.fromkeys(STAGES + EXTRAS, float("inf"))
+    op_text = None
     for _ in range(repeats):
         times = {}
         start = perf_counter()
@@ -79,11 +101,21 @@ def time_stages(text: str, repeats: int) -> dict[str, float]:
         times["factorize"] = perf_counter()
         w = fc.compute_w(system, factors)
         times["w"] = perf_counter()
-        fc.build_kernel(system, factors, w)
+        kernel = fc.build_kernel(system, factors, w)
         times["kernel"] = perf_counter()
         for stage in STAGES:
             best[stage] = min(best[stage], 1e3 * (times[stage] - start))
             start = times[stage]
+
+        if op_text is None:
+            op_text = operating_point_document(net, w.w, rng)
+        start = perf_counter()
+        op = fc.parse_operating_point(net, op_text)
+        best["op_parse"] = min(best["op_parse"], 1e3 * (perf_counter() - start))
+        for _ in range(20):
+            start = perf_counter()
+            fc.xi(kernel, op.s)
+            best["xi"] = min(best["xi"], 1e6 * (perf_counter() - start))
     return best
 
 
@@ -94,14 +126,16 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    header = ["topology", "n"] + [f"{s}_ms" for s in STAGES] + ["total_ms"]
+    header = (["topology", "n"] + [f"{s}_ms" for s in STAGES]
+              + ["total_ms", "op_parse_ms", "xi_us"])
     print(" ".join(f"{h:>13}" for h in header))
     for name, make in (("chain", chain_document), ("random-tree", tree_document)):
         for n in args.sizes:
-            text = make(n, np.random.default_rng(args.seed))
-            best = time_stages(text, args.repeats)
+            rng = np.random.default_rng(args.seed)
+            best = time_stages(make(n, rng), args.repeats, rng)
             cells = [name, str(n)] + [f"{best[s]:.1f}" for s in STAGES]
-            cells.append(f"{sum(best.values()):.1f}")
+            cells.append(f"{sum(best[s] for s in STAGES):.1f}")
+            cells += [f"{best['op_parse']:.1f}", f"{best['xi']:.1f}"]
             print(" ".join(f"{c:>13}" for c in cells), flush=True)
 
 

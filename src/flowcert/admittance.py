@@ -14,9 +14,10 @@ solver downstream consumes.
 Canonical order and sequential sum: a cell that receives several stamps
 (parallel branches, both ends of branches meeting at a bus, shunts on a
 branch diagonal) sums them in increasing (real, imag) order of the
-stamped values, one at a time from zero, left to right.  One
-``np.lexsort`` orders every stamp by (column, row, real, imag), with
-column and row as one key, and an unbuffered ``np.add.at`` adds each
+stamped values, one at a time from zero, left to right.  Two stable
+sorts order every stamp by (column, row, real, imag): one of the complex
+values, which numpy orders by (real, imag), then one of the cell key,
+column and row as one integer.  An unbuffered ``np.add.at`` adds each
 cell's stamps in that order.  Stamps that compare equal are equal up
 to the sign of a zero, which a sum started at +0 does not see, so every
 cell, and with it the matrix, is bitwise the same for any order of the
@@ -65,7 +66,8 @@ def _cells(net: NetworkDescription):
     cols, values), each value the canonical sum of the cell's stamps."""
     rows, cols, values = _stamps(net)
     cell = cols * (net.n + 1) + rows
-    order = np.lexsort((values.imag, values.real, cell))
+    order = np.argsort(values, kind="stable")  # numpy orders complex by (real, imag)
+    order = order[np.argsort(cell[order], kind="stable")]
     cell, values = cell[order], values[order]
     first = np.ones(cell.size, dtype=bool)
     first[1:] = cell[1:] != cell[:-1]

@@ -56,11 +56,14 @@ no switch.
   subtrees) and a down pass (sums over everything outside a subtree);
   the outside sums are built from sibling prefix and suffix sums, never
   as a subtree sum subtracted from a total, so every row sum is a
-  rounded sum of non-negative terms, as the dense matvec is.  Both
-  passes are one forward substitution with a real unit-triangular
-  operator that factors with no fill, so each xi is a single SuperLU
-  solve in O(n).  The same passes on squared ratios give the row
-  2-norms, and a (max, x) pass the column maxima behind lambda.
+  rounded sum of non-negative terms, as the dense matvec is.  The passes
+  solve for 2n unknowns, the up sums and the down sums, with a real
+  unit-triangular operator that factors with no fill: one sparse matvec
+  spreads t into their right-hand side, one forward substitution solves
+  for them, and a second matvec gathers the row sums from t and them.
+  All three add non-negative terms only, and each xi costs O(n).
+  The same passes on squared ratios give the row 2-norms, and a (max, x)
+  pass the column maxima behind lambda.
 """
 
 from __future__ import annotations
@@ -137,22 +140,42 @@ class DenseKernel(KernelMatrix):
 
 
 @dataclass(frozen=True)
-class TreeKernel(KernelMatrix):
-    """|K| of a forest, never held: each row sum is one triangular solve.
+class TreePasses:
+    """The up and down passes of a forest: one solve between two matvecs.
 
-    ``passes`` is the SuperLU factor of the unit-triangular operator of
-    `_pass_coupling`.  ``abs_k`` rebuilds |K| from ``factors`` and
-    ``w`` one column solve at a time, for checks only: O(n^2) time and
-    memory, refused beyond KERNEL_SIZE_CAP.
+    ``spread`` (2n x n) gives the right-hand side of the S and Y unknowns
+    of `_pass_coupling` from t, ``lu`` is the SuperLU factor of I - C
+    over those unknowns alone, and ``gather`` (n x 3n) gives the row sums
+    R from (t, S, Y).  Both matrices hold non-negative entries only, in
+    canonical CSR form, so each row of a matvec adds its terms in the
+    order of their unknowns.
+    """
+
+    spread: sparse.csr_matrix
+    lu: SuperLU
+    gather: sparse.csr_matrix
+
+    def row_sums(self, t: np.ndarray) -> np.ndarray:
+        """R for t (bus order, one column per column of t)."""
+        return self.gather @ np.concatenate([t, self.lu.solve(self.spread @ t)])
+
+
+@dataclass(frozen=True)
+class TreeKernel(KernelMatrix):
+    """|K| of a forest, never held: each row sum is one `TreePasses` sweep.
+
+    ``abs_k`` rebuilds |K| from ``factors`` and ``w`` one column solve at
+    a time, for checks only: O(n^2) time and memory, refused beyond
+    KERNEL_SIZE_CAP.
     """
 
     factors: LuFactors
     w: ZeroLoadProfile
-    passes: SuperLU
+    passes: TreePasses
     path: ClassVar[str] = "tree"
 
     def row_sums(self, t: np.ndarray) -> np.ndarray:
-        return _apply_passes(self.passes, t)
+        return self.passes.row_sums(t)
 
     @property
     def abs_k(self) -> np.ndarray:
@@ -327,9 +350,9 @@ def _elimination_forest(factors: LuFactors):
     return np.maximum(l_parent, u_parent), l_edge, u_edge, lu.U.diagonal()
 
 
-def _unit_triangular(coupling) -> SuperLU:
-    """SuperLU of I - coupling for a strictly triangular ``coupling``,
-    kept in its own order.
+def _unit_triangular(rows, cols, coefs, n: int) -> SuperLU:
+    """SuperLU of I - C for the strictly triangular n x n C with the
+    entries (rows, cols, coefs), kept in its own order.
 
     Diagonal pivots on a triangular matrix factor it with no fill: one
     factor is the matrix, the other the identity, so a solve is one
@@ -337,23 +360,49 @@ def _unit_triangular(coupling) -> SuperLU:
     (``relax=1``, ``panel_size=1``) halve the factorization time; there is
     nothing to merge.
     """
-    n = coupling.shape[0]
-    return splu(sparse.identity(n, dtype=coupling.dtype, format="csc") - coupling,
-                permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1, panel_size=1,
-                options=dict(SymmetricMode=True))
+    diagonal = np.arange(n)
+    matrix = sparse.csc_matrix(
+        (np.concatenate([np.ones(n, dtype=coefs.dtype), -coefs]),
+         (np.concatenate([diagonal, rows]), np.concatenate([diagonal, cols]))),
+        shape=(n, n))
+    return splu(matrix, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
+                panel_size=1, options=dict(SymmetricMode=True))
 
 
-def _apply_passes(passes: SuperLU, t: np.ndarray) -> np.ndarray:
-    """|K| t (bus order, one column per column of t) from the pass operator."""
-    n = t.shape[0]
-    rhs = np.zeros((4 * n,) + t.shape[1:])
-    rhs[:n] = t
-    return passes.solve(rhs)[3 * n:]
+def _tree_passes(coupling, n: int) -> tuple[TreePasses, TreePasses]:
+    """`TreePasses` of the (rows, cols, coefs) entries of a coupling in
+    the four-block layout of `_pass_coupling`, on n buses, and of its
+    entrywise square.
+
+    The t unknowns only spread t and the R unknowns only gather, so
+    neither is solved for: the entries from t into S and Y make
+    ``spread``, those among S and Y the operator, and those into R
+    ``gather``.  Each matvec row adds its terms in the order of their
+    unknowns, and the solve adds S and Y terms onto a right-hand side of
+    at most one t term, which is the order a forward substitution over
+    all four blocks takes.  The square shares the matvecs' structure.
+    """
+    rows, cols, coefs = coupling
+    into_r, from_t = rows >= 3 * n, cols < n
+    into_s_y = ~into_r & from_t
+    spread = sparse.csr_matrix(
+        (coefs[into_s_y], (rows[into_s_y] - n, cols[into_s_y])), shape=(2 * n, n))
+    gather = sparse.csr_matrix(
+        (coefs[into_r], (rows[into_r] - 3 * n, cols[into_r])), shape=(n, 3 * n))
+    inner = ~into_r & ~from_t
+    rows, cols, coefs = rows[inner] - n, cols[inner] - n, coefs[inner]
+    return (
+        TreePasses(spread=spread, lu=_unit_triangular(rows, cols, coefs, 2 * n),
+                   gather=gather),
+        TreePasses(spread=spread.power(2),
+                   lu=_unit_triangular(rows, cols, coefs * coefs, 2 * n),
+                   gather=gather.power(2)),
+    )
 
 
-def _pass_coupling(order, parent, kappa, a, b) -> sparse.csc_matrix:
-    """Coupling C of the operator I - C whose forward substitution
-    computes |K| t.
+def _pass_coupling(order, parent, kappa, a, b):
+    """Coupling C, as (rows, cols, coefs) arrays, of the operator I - C
+    whose forward substitution computes |K| t.
 
     ``order[k]`` is the bus at elimination position k, ``parent`` the
     elimination forest (children precede parents), ``kappa`` holds
@@ -379,8 +428,9 @@ def _pass_coupling(order, parent, kappa, a, b) -> sparse.csc_matrix:
     multiples of unknowns that precede it (S runs up the forest, Y down
     it, so Y is stored in reverse), so the operator is unit lower
     triangular with non-positive off-diagonal entries, and its solve adds
-    non-negative terms only.  Squaring kappa, a and b gives the sums of
-    |K|^2 t.
+    non-negative terms only; `_tree_passes` solves it for S and Y alone.
+    Each (row, col) appears once, so squaring the coefficients squares
+    kappa, a and b and gives the sums of |K|^2 t.
     """
     n = parent.size
     child = np.flatnonzero(parent >= 0)
@@ -442,10 +492,7 @@ def _pass_coupling(order, parent, kappa, a, b) -> sparse.csc_matrix:
     add(r_at, c, t_at, p, a[c] * kappa[p])
     add(r_at, c, s_at, nxt[c], a[c] * kappa[p])
 
-    return sparse.csc_matrix(
-        (np.concatenate(coefs), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(4 * n, 4 * n),
-    )
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(coefs)
 
 
 def _column_maxima(parent, kappa, a, b) -> np.ndarray:
@@ -497,24 +544,21 @@ def _tree_kernel(system, factors, w, forest) -> TreeKernel:
     # Z_kk = 1 / U_kk + (U_kp / U_kk) L_pk Z_pp, from the roots down.
     child = np.flatnonzero(parent >= 0)
     u_ratio = u_edge / pivot
-    z_diag = _unit_triangular(sparse.csc_matrix(
-        (u_ratio[child] * l_edge[child], (child, parent[child])), shape=(n, n)
-    )).solve(1.0 / pivot)
+    z_diag = _unit_triangular(
+        child, parent[child], u_ratio[child] * l_edge[child], n).solve(1.0 / pivot)
     kappa = np.abs(z_diag) / w_abs**2
     scale = np.zeros(n)
     scale[child] = w_abs[parent[child]] / w_abs[child]
     a = np.abs(u_ratio) * scale
     b = np.abs(l_edge) * scale
 
-    coupling = _pass_coupling(order, parent, kappa, a, b)
-    passes = _unit_triangular(coupling)
-    col_max = _column_maxima(parent, kappa, a, b)[perm]
-    lam = 1.0 / col_max
-    plain = _apply_passes(passes, np.column_stack([np.ones(n), lam]))
     # every coupling is a product of kappa, a, b and ones: squared, it
     # couples the sums of |K|^2 t
-    squared = _apply_passes(_unit_triangular(coupling.multiply(coupling).tocsc()),
-                            np.column_stack([np.ones(n), lam * lam]))
+    passes, squared_passes = _tree_passes(_pass_coupling(order, parent, kappa, a, b), n)
+    col_max = _column_maxima(parent, kappa, a, b)[perm]
+    lam = 1.0 / col_max
+    plain = passes.row_sums(np.column_stack([np.ones(n), lam]))
+    squared = squared_passes.row_sums(np.column_stack([np.ones(n), lam * lam]))
     row_norm, weighted_row_norm = _row_norms(
         col_max, lam, (plain[:, 0], squared[:, 0]), (plain[:, 1], squared[:, 1]))
     return TreeKernel(system=system, lam=lam, row_norm=row_norm,

@@ -77,11 +77,17 @@ def sweep(
     with an operating point, which must solve the load-flow equations
     (`certificate.check_operating_point`), the state-aware conditions
     are evaluated against its (v_hat, s_hat) at every grid point.
+    Every argument is checked before any set-up, ``fp_tol`` and
+    ``fp_max_iter`` also when ``run_fixed_point`` is False.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
     if not (math.isfinite(kappa_max) and kappa_max > 0):
         raise ValueError(f"kappa_max must be finite and positive, got {kappa_max}")
+    if not (math.isfinite(fp_tol) and fp_tol > 0):
+        raise ValueError(f"fp_tol must be finite and positive, got {fp_tol}")
+    if fp_max_iter < 1:
+        raise ValueError(f"fp_max_iter must be at least 1, got {fp_max_iter}")
     injections = np.asarray(injections, dtype=complex)
     total = float(np.sum(np.abs(injections)))
     if total == 0:

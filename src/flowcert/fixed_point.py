@@ -93,11 +93,14 @@ def iterate_once(
     Raises VoltageCollapseError if any |v_i| is below VOLTAGE_FLOOR.
     """
     v = np.asarray(v, dtype=complex)
-    low = np.abs(v) < VOLTAGE_FLOOR
-    if low.any():
-        raise _collapse(v, low)
-    x = solve(factors, np.conj(s) / np.conj(v))
-    return (w.w if x.ndim == 1 else w.w[:, None]) + x
+    # the smallest |v_i| that is not NaN: no NaN is below the floor
+    if np.fmin.reduce(np.abs(v), axis=None, initial=np.inf) < VOLTAGE_FLOOR:
+        raise _collapse(v, np.abs(v) < VOLTAGE_FLOOR)
+    # conj(s / v) is conj(s) / conj(v) with one conjugation: the two differ
+    # at most in the sign of an imaginary part that is exactly zero
+    x = solve(factors, np.conj(s / v))
+    x += w.w if x.ndim == 1 else w.w[:, None]
+    return x
 
 
 def _block(n: int, name: str, cols) -> np.ndarray:
@@ -164,7 +167,9 @@ def _iterate_block(factors, w, columns, tol, max_iter):
             keep = np.flatnonzero(~collapsed).tolist()
         else:
             keep = []
-            for j, x in enumerate(np.abs((v_next - v) / scale).max(axis=0).tolist()):
+            step = v_next - v
+            step /= scale
+            for j, x in enumerate(np.abs(step).max(axis=0).tolist()):
                 col = block[j]
                 if col.probing:
                     v_j = v[:, j].copy()

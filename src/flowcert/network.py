@@ -19,20 +19,32 @@ conversion.  Injection and operating-point scenario files are separate
 documents so one grid can be paired with many scenarios (see
 `parse_injections` / `parse_operating_point`).
 
-`build_network` is the one constructor of a `NetworkDescription`.  In
-the pass that validates the records it also caches, outside the
-network's equality (``==`` compares buses, branches and bases only),
-what assembly needs: ``index`` (bus id -> position, slack 0) and
-``arrays`` (`NetworkArrays`: each branch's endpoint positions,
-admittance and ratio, and each bus's shunt, as numpy arrays).
+Ingestion reads columns.  Each parser pulls every field of a section's
+records out as one list, checks types, finiteness and bus ids on whole
+lists, and fills complex arrays by assigning their real and imaginary
+parts.  Every rule is one mask over the records, and the error names the
+first faulty record and its first broken rule: rules are ordered as a
+record-by-record pass would meet them (each section's fields in order,
+a section's parse rules before `build_network`'s), so there is one
+validation path and one error for every document.
+
+`build_network` is the one constructor of a `NetworkDescription`; it
+reads its buses' and branches' fields into columns the same way.  From
+those columns it also caches, outside the network's equality (``==``
+compares buses, branches and bases only), what assembly needs:
+``index`` (bus id -> position, slack 0) and ``arrays``
+(`NetworkArrays`: each branch's endpoint positions, admittance and
+ratio, and each bus's shunt, as numpy arrays).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -160,10 +172,11 @@ def build_network(
     Raises InvalidNetworkError on any model violation: non-finite
     values, duplicate ids, slack count != 1, dangling branch endpoints,
     non-positive branch conductance, negative shunt conductance,
-    self-loops, non-unit line ratios, or a disconnected graph.  Records
-    are checked in order, and each against its rules in the order of its
-    messages below, so the error names the first faulty record and its
-    first broken rule.
+    self-loops, non-unit line ratios, or a disconnected graph.  The
+    buses' and the branches' fields are read into columns and each rule
+    is one mask over them.  The error names the first faulty record and
+    its first broken rule, in the order the rules are listed below,
+    buses before branches: the error a record-by-record check gives.
     """
     for name, base in (("power", power_base), ("voltage", voltage_base)):
         if not math.isfinite(base):
@@ -171,45 +184,54 @@ def build_network(
         if base <= 0:
             raise InvalidNetworkError(f"{name} base must be positive, got {base}")
 
-    seen: set[str] = set()
-    slack_buses = []
-    load_buses = []
-    for bus in buses:
-        if not _finite(bus.shunt_admittance):
-            raise InvalidNetworkError(
-                f"bus {bus.id!r} has non-finite shunt admittance {bus.shunt_admittance}"
-            )
-        if bus.id in seen:
-            raise InvalidNetworkError(f"duplicate bus id {bus.id!r}")
-        seen.add(bus.id)
-        if bus.kind == SLACK:
-            slack_buses.append(bus)
-        elif bus.kind == LOAD:
-            load_buses.append(bus)
-        else:
-            raise InvalidNetworkError(f"bus {bus.id!r} has unknown kind {bus.kind!r}")
-        if bus.shunt_admittance.real < 0:
-            raise InvalidNetworkError(
-                f"bus {bus.id!r} has negative shunt conductance "
-                f"{bus.shunt_admittance.real}"
-            )
-    if len(slack_buses) != 1:
+    buses = tuple(buses)
+    ids = [bus.id for bus in buses]
+    kinds = [bus.kind for bus in buses]
+    shunt = np.array([bus.shunt_admittance for bus in buses], dtype=complex)
+    _raise_first_fault([
+        (~np.isfinite(shunt), lambda k: f"bus {ids[k]!r} has non-finite shunt "
+                                        f"admittance {buses[k].shunt_admittance}"),
+        (_repeated(ids), lambda k: f"duplicate bus id {ids[k]!r}"),
+        (_outside(kinds, (SLACK, LOAD)),
+         lambda k: f"bus {ids[k]!r} has unknown kind {kinds[k]!r}"),
+        (shunt.real < 0, lambda k: f"bus {ids[k]!r} has negative shunt conductance "
+                                   f"{buses[k].shunt_admittance.real}"),
+    ])
+    if kinds.count(SLACK) != 1:
         raise InvalidNetworkError(
-            f"expected exactly one slack bus, found {len(slack_buses)}"
+            f"expected exactly one slack bus, found {kinds.count(SLACK)}"
         )
-    ordered = (slack_buses[0], *load_buses)
-    index = {bus.id: i for i, bus in enumerate(ordered)}
+    slack = kinds.index(SLACK)
+    ordered = (buses[slack], *buses[:slack], *buses[slack + 1:])
+    index = {bus_id: pos for pos, bus_id in enumerate(
+        (ids[slack], *ids[:slack], *ids[slack + 1:]))}
 
     branches = tuple(branches)
-    from_pos: list[int] = []
-    to_pos: list[int] = []
-    for br in branches:
-        i, j = index.get(br.from_bus), index.get(br.to_bus)
-        fault = _branch_fault(br, i, j)
-        if fault:
-            raise InvalidNetworkError(f"branch {br.from_bus!r}->{br.to_bus!r} {fault}")
-        from_pos.append(i)
-        to_pos.append(j)
+    m = len(branches)
+    from_ids = [br.from_bus for br in branches]
+    to_ids = [br.to_bus for br in branches]
+    kinds = [br.kind for br in branches]
+    admittance = np.array([br.admittance for br in branches], dtype=complex)
+    ratio = np.array([br.ratio for br in branches], dtype=complex)
+    from_pos = np.fromiter(map(index.get, from_ids, repeat(-1)), dtype=np.intp, count=m)
+    to_pos = np.fromiter(map(index.get, to_ids, repeat(-1)), dtype=np.intp, count=m)
+
+    def fault(rule: str):
+        return lambda k: f"branch {from_ids[k]!r}->{to_ids[k]!r} {rule.format(branches[k])}"
+
+    _raise_first_fault([
+        (~np.isfinite(admittance), fault("has non-finite admittance {0.admittance}")),
+        (~np.isfinite(ratio), fault("has non-finite ratio {0.ratio}")),
+        (np.fromiter(map(operator.eq, from_ids, to_ids), dtype=bool, count=m),
+         fault("is a self-loop")),
+        (from_pos < 0, fault("references unknown bus {0.from_bus!r}")),
+        (to_pos < 0, fault("references unknown bus {0.to_bus!r}")),
+        (_outside(kinds, (LINE, TRANSFORMER)), fault("has unknown kind {0.kind!r}")),
+        (admittance.real <= 0, fault("has non-positive conductance {0.admittance.real}")),
+        (ratio == 0, fault("has zero ratio")),
+        (np.fromiter(map(operator.eq, kinds, repeat(LINE)), dtype=bool, count=m)
+         & (ratio != 1), fault("is a line but its ratio is not 1")),
+    ])
 
     unreachable = _first_unreachable(len(ordered), from_pos, to_pos)
     if unreachable is not None:
@@ -224,62 +246,83 @@ def build_network(
         voltage_base=float(voltage_base),
         index=index,
         arrays=NetworkArrays(
-            from_pos=np.array(from_pos, dtype=np.intp),
-            to_pos=np.array(to_pos, dtype=np.intp),
-            admittance=np.array([br.admittance for br in branches], dtype=complex),
-            ratio=np.array([br.ratio for br in branches], dtype=complex),
-            shunt=np.array([bus.shunt_admittance for bus in ordered], dtype=complex),
+            from_pos=from_pos,
+            to_pos=to_pos,
+            admittance=admittance,
+            ratio=ratio,
+            shunt=np.concatenate([shunt[slack:slack + 1], shunt[:slack], shunt[slack + 1:]]),
         ),
     )
 
 
-def _finite(z: complex) -> bool:
-    return math.isfinite(z.real) and math.isfinite(z.imag)
+def _raise_first_fault(rules) -> None:
+    """Raise InvalidNetworkError for the first faulty record, naming its
+    first broken rule.
+
+    ``rules`` are (mask, message) pairs in the order the rules are
+    checked: ``mask`` flags the records that break the rule (None when
+    none can), and ``message(k)`` is the error for record k.
+    """
+    broken = [(mask, message) for mask, message in rules
+              if mask is not None and mask.any()]
+    if broken:
+        first = min(int(mask.argmax()) for mask, _ in broken)
+        raise InvalidNetworkError(next(message(first) for mask, message in broken
+                                       if mask[first]))
 
 
-def _branch_fault(br: Branch, i: int | None, j: int | None) -> str | None:
-    """The first rule ``br`` breaks, as the rest of its error message, or
-    None; ``i`` and ``j`` are its endpoints' positions (None if unknown)."""
-    if not _finite(br.admittance):
-        return f"has non-finite admittance {br.admittance}"
-    if not _finite(br.ratio):
-        return f"has non-finite ratio {br.ratio}"
-    if br.from_bus == br.to_bus:
-        return "is a self-loop"
-    if i is None:
-        return f"references unknown bus {br.from_bus!r}"
-    if j is None:
-        return f"references unknown bus {br.to_bus!r}"
-    if br.kind not in (LINE, TRANSFORMER):
-        return f"has unknown kind {br.kind!r}"
-    if br.admittance.real <= 0:
-        return f"has non-positive conductance {br.admittance.real}"
-    if br.ratio == 0:
-        return "has zero ratio"
-    if br.kind == LINE and br.ratio != 1:
-        return "is a line but its ratio is not 1"
-    return None
+def _repeated(values: list) -> np.ndarray | None:
+    """Mask of the values equal to an earlier one, or None when all differ."""
+    first = dict(zip(reversed(values), range(len(values) - 1, -1, -1)))
+    if len(first) == len(values):
+        return None
+    return np.fromiter(map(first.__getitem__, values), dtype=np.intp,
+                       count=len(values)) != np.arange(len(values))
 
 
-def _first_unreachable(n_buses: int, from_pos, to_pos) -> int | None:
+def _outside(values: list, allowed: tuple) -> np.ndarray | None:
+    """Mask of the values that are none of ``allowed``, or None when all are."""
+    try:
+        if set(values) <= set(allowed):
+            return None
+    except TypeError:  # an unhashable value, which is none of them
+        pass
+    return np.array([value not in allowed for value in values], dtype=bool)
+
+
+def _first_unreachable(n_buses: int, from_pos: np.ndarray, to_pos: np.ndarray) -> int | None:
     """Position of the first bus that no path of branches joins to the
-    slack (position 0), or None when every bus is reached."""
-    adjacency: list[list[int]] = [[] for _ in range(n_buses)]
-    for a, b in zip(from_pos, to_pos):
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    reached = [False] * n_buses
-    reached[0] = True
-    stack = [0]
-    while stack:
-        for other in adjacency[stack.pop()]:
-            if not reached[other]:
-                reached[other] = True
-                stack.append(other)
-    return None if all(reached) else reached.index(False)
+    slack (position 0), or None when every bus is reached.
+
+    Each bus points to a bus of its component at a position no larger
+    than its own, and the roots (buses that point to themselves) label
+    the components found so far.  A round hooks, for every branch between
+    two roots, the larger root onto the smaller, then follows the
+    pointers to the roots.  Each round leaves at least one root fewer, so
+    the rounds end, with every branch inside one label; every component
+    then has one root, its smallest position, and the slack's is 0.
+    """
+    label = np.arange(n_buses)
+    while True:
+        a, b = label[from_pos], label[to_pos]
+        if np.array_equal(a, b):
+            break
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    unreached = np.flatnonzero(label)
+    return int(unreached[0]) if unreached.size else None
 
 
 # --- document parsing -------------------------------------------------------
+
+_ABSENT = object()  # the value of a field that a record does not hold
+_NUMBER = {int, float}
 
 
 def _load_json(text: str, what: str) -> dict:
@@ -292,38 +335,67 @@ def _load_json(text: str, what: str) -> dict:
     return doc
 
 
-def _number(record: dict, key: str, what: str, default=None) -> float:
-    if key not in record:
-        if default is not None:
-            return default
-        raise InvalidNetworkError(f"{what} is missing field {key!r}")
-    value = record[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidNetworkError(f"{what} field {key!r} must be a number")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise InvalidNetworkError(f"{what} field {key!r} must be finite, got {number}")
-    return number
-
-
-def _bus_id(value, what: str) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
-    raise InvalidNetworkError(f"{what} must be a string or integer bus id")
-
-
 def _records(doc: dict, key: str, what: str) -> list[dict]:
     if key not in doc or not isinstance(doc[key], list):
         raise InvalidNetworkError(f"{what} must contain a {key!r} list")
-    for entry in doc[key]:
-        if not isinstance(entry, dict):
-            raise InvalidNetworkError(f"every {key!r} entry must be an object")
+    if not set(map(type, doc[key])) <= {dict}:
+        raise InvalidNetworkError(f"every {key!r} entry must be an object")
     return doc[key]
+
+
+def _numbers(records: list[dict], key: str, label, default=_ABSENT):
+    """Field ``key`` of every record as a float array, and its rules.
+
+    The rules, in order: the field is present (unless it has a
+    ``default``), a number (a JSON integer or float, not a boolean) and
+    finite; an integer beyond the float range reads as inf.
+    ``label(k)`` names record k in the messages.  A record that breaks
+    the first two rules reads as 0.
+    """
+    values = [rec.get(key, default) for rec in records]
+    absent = wrong = None
+    if not set(map(type, values)) <= _NUMBER:
+        absent = np.array([value is _ABSENT for value in values], dtype=bool)
+        wrong = np.array([type(value) not in _NUMBER for value in values]) & ~absent
+        values = [value if type(value) in _NUMBER else 0.0 for value in values]
+    try:
+        numbers = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        numbers = np.array([_float(value) for value in values])
+    return numbers, [
+        (absent, lambda k: f"{label(k)} is missing field {key!r}"),
+        (wrong, lambda k: f"{label(k)} field {key!r} must be a number"),
+        (~np.isfinite(numbers),
+         lambda k: f"{label(k)} field {key!r} must be finite, got {float(numbers[k])}"),
+    ]
+
+
+def _float(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def _bus_ids(records: list[dict], key: str, what: str):
+    """Field ``key`` of every record as a bus id, and its rule: a string,
+    or an integer, which reads as its decimal string.  A record that
+    breaks the rule reads as None."""
+    ids = [rec.get(key) for rec in records]
+    wrong = None
+    if not set(map(type, ids)) <= {str}:
+        wrong = np.array([type(value) not in (str, int) for value in ids])
+        ids = [value if type(value) is str else str(value) if type(value) is int else None
+               for value in ids]
+    return ids, [(wrong, lambda k: f"{what} must be a string or integer bus id")]
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """The complex array with these parts, each kept bit for bit."""
+    z = np.empty(real.size, dtype=complex)
+    z.real = real
+    z.imag = imag
+    return z
 
 
 def parse_network(text: str) -> NetworkDescription:
@@ -334,42 +406,43 @@ def parse_network(text: str) -> NetworkDescription:
         raise InvalidNetworkError(f"unknown network sections: {sorted(unknown)}")
     if "bases" not in doc or not isinstance(doc["bases"], dict):
         raise InvalidNetworkError("network document must contain a 'bases' object")
-    power_base = _number(doc["bases"], "power_mva", "bases")
-    voltage_base = _number(doc["bases"], "voltage_kv", "bases")
+    power_base, power_rules = _numbers([doc["bases"]], "power_mva", lambda k: "bases")
+    voltage_base, voltage_rules = _numbers([doc["bases"]], "voltage_kv", lambda k: "bases")
+    _raise_first_fault(power_rules + voltage_rules)
 
-    buses = []
-    for rec in _records(doc, "buses", "network document"):
-        bus_id = _bus_id(rec.get("id"), "bus id")
-        kind = rec.get("kind")
-        if kind not in (SLACK, LOAD):
-            raise InvalidNetworkError(f"bus {bus_id!r} has unknown kind {kind!r}")
-        shunt = complex(
-            _number(rec, "shunt_g", f"bus {bus_id!r}", default=0.0),
-            _number(rec, "shunt_b", f"bus {bus_id!r}", default=0.0),
-        )
-        buses.append(Bus(id=bus_id, kind=kind, shunt_admittance=shunt))
+    records = _records(doc, "buses", "network document")
+    ids, id_rules = _bus_ids(records, "id", "bus id")
+    kinds = [rec.get("kind") for rec in records]
 
-    branches = []
-    for rec in _records(doc, "branches", "network document"):
-        from_id = _bus_id(rec.get("from"), "branch 'from'")
-        to_id = _bus_id(rec.get("to"), "branch 'to'")
-        label = f"branch {from_id!r}->{to_id!r}"
-        admittance = complex(_number(rec, "g", label), _number(rec, "b", label))
-        ratio = complex(
-            _number(rec, "ratio_re", label, default=1.0),
-            _number(rec, "ratio_im", label, default=0.0),
-        )
-        branches.append(
-            Branch(
-                from_bus=from_id,
-                to_bus=to_id,
-                kind=rec.get("kind"),
-                admittance=admittance,
-                ratio=ratio,
-            )
-        )
+    def bus(k):
+        return f"bus {ids[k]!r}"
 
-    return build_network(buses, branches, power_base, voltage_base)
+    shunt_g, g_rules = _numbers(records, "shunt_g", bus, default=0.0)
+    shunt_b, b_rules = _numbers(records, "shunt_b", bus, default=0.0)
+    _raise_first_fault([
+        *id_rules,
+        (_outside(kinds, (SLACK, LOAD)), lambda k: f"{bus(k)} has unknown kind {kinds[k]!r}"),
+        *g_rules,
+        *b_rules,
+    ])
+    buses = list(map(Bus, ids, kinds, _complex(shunt_g, shunt_b).tolist()))
+
+    records = _records(doc, "branches", "network document")
+    from_ids, from_rules = _bus_ids(records, "from", "branch 'from'")
+    to_ids, to_rules = _bus_ids(records, "to", "branch 'to'")
+
+    def branch(k):
+        return f"branch {from_ids[k]!r}->{to_ids[k]!r}"
+
+    g, g_rules = _numbers(records, "g", branch)
+    b, b_rules = _numbers(records, "b", branch)
+    ratio_re, re_rules = _numbers(records, "ratio_re", branch, default=1.0)
+    ratio_im, im_rules = _numbers(records, "ratio_im", branch, default=0.0)
+    _raise_first_fault(from_rules + to_rules + g_rules + b_rules + re_rules + im_rules)
+    branches = list(map(Branch, from_ids, to_ids, [rec.get("kind") for rec in records],
+                        _complex(g, b).tolist(), _complex(ratio_re, ratio_im).tolist()))
+
+    return build_network(buses, branches, float(power_base[0]), float(voltage_base[0]))
 
 
 def serialize_network(net: NetworkDescription) -> str:
@@ -420,22 +493,43 @@ def parse_injections(net: NetworkDescription, text: str) -> np.ndarray:
 def _injections(net: NetworkDescription, doc: dict) -> np.ndarray:
     """The per-unit load vector of the parsed document ``doc``'s
     ``injections`` records (see `parse_injections`)."""
+    records = _records(doc, "injections", "injection document")
+    ids, id_rules = _bus_ids(records, "bus", "injection bus")
+    pos = _positions(net, ids)
+
+    def label(k):
+        return f"injection for bus {ids[k]!r}"
+
+    p, p_rules = _numbers(records, "p_mw", label)
+    q, q_rules = _numbers(records, "q_mvar", label)
+    _raise_first_fault([
+        *id_rules,
+        (pos < 0, lambda k: f"injection references unknown bus {ids[k]!r}"),
+        (pos == 0, lambda k: "the slack bus carries no specified injection"),
+        (_repeated(ids), lambda k: f"duplicate injection for bus {ids[k]!r}"),
+        *p_rules,
+        *q_rules,
+    ])
     s = np.zeros(net.n, dtype=complex)
-    filled: set[str] = set()
-    for rec in _records(doc, "injections", "injection document"):
-        bus_id = _bus_id(rec.get("bus"), "injection bus")
-        if bus_id not in net.index:
-            raise InvalidNetworkError(f"injection references unknown bus {bus_id!r}")
-        if bus_id == net.slack.id:
-            raise InvalidNetworkError("the slack bus carries no specified injection")
-        if bus_id in filled:
-            raise InvalidNetworkError(f"duplicate injection for bus {bus_id!r}")
-        filled.add(bus_id)
-        power = complex(
-            _number(rec, "p_mw", f"injection for bus {bus_id!r}"),
-            _number(rec, "q_mvar", f"injection for bus {bus_id!r}"),
-        )
-        s[net.load_index(bus_id)] = to_per_unit(power, net.power_base)
+    s[pos - 1] = _per_unit(p, q, net.power_base)
+    return s
+
+
+def _positions(net: NetworkDescription, ids: list) -> np.ndarray:
+    """Each id's position in ``net.buses`` (slack 0), -1 for an unknown id."""
+    return np.fromiter(map(net.index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+
+
+def _per_unit(p: np.ndarray, q: np.ndarray, power_base: float) -> np.ndarray:
+    """`to_per_unit` of complex(p, q) for each pair, bit for bit.
+
+    A part that is not zero is divided alone; the sign of a zero part
+    depends on how CPython divides a complex by a float, so those pairs
+    go through `to_per_unit` itself.
+    """
+    s = _complex(p / power_base, q / power_base)
+    for k in np.flatnonzero((p == 0) | (q == 0)).tolist():
+        s[k] = to_per_unit(complex(p[k], q[k]), power_base)
     return s
 
 
@@ -456,22 +550,29 @@ def parse_operating_point(net: NetworkDescription, text: str) -> OperatingPoint:
     if provenance not in ("measured", "solved"):
         raise InvalidNetworkError(f"unknown provenance {provenance!r}")
 
-    v = np.full(net.n, np.nan, dtype=complex)
-    for rec in _records(doc, "voltages", "operating-point document"):
-        bus_id = _bus_id(rec.get("bus"), "voltage bus")
-        if bus_id not in net.index or bus_id == net.slack.id:
-            raise InvalidNetworkError(f"voltage entry for invalid bus {bus_id!r}")
-        idx = net.load_index(bus_id)
-        if not np.isnan(v[idx].real):
-            raise InvalidNetworkError(f"duplicate voltage for bus {bus_id!r}")
-        v[idx] = complex(
-            _number(rec, "re", f"voltage for bus {bus_id!r}"),
-            _number(rec, "im", f"voltage for bus {bus_id!r}"),
-        )
-    missing = np.isnan(v.real)
-    if missing.any():
-        bus = net.load_buses[int(np.flatnonzero(missing)[0])]
+    records = _records(doc, "voltages", "operating-point document")
+    ids, id_rules = _bus_ids(records, "bus", "voltage bus")
+    pos = _positions(net, ids)
+
+    def label(k):
+        return f"voltage for bus {ids[k]!r}"
+
+    v_re, re_rules = _numbers(records, "re", label)
+    v_im, im_rules = _numbers(records, "im", label)
+    _raise_first_fault([
+        *id_rules,
+        (pos <= 0, lambda k: f"voltage entry for invalid bus {ids[k]!r}"),
+        (_repeated(ids), lambda k: f"duplicate voltage for bus {ids[k]!r}"),
+        *re_rules,
+        *im_rules,
+    ])
+    listed = np.zeros(net.n, dtype=bool)
+    listed[pos - 1] = True
+    if not listed.all():
+        bus = net.load_buses[int(np.argmin(listed))]
         raise InvalidNetworkError(f"missing voltage for bus {bus.id!r}")
+    v = np.empty(net.n, dtype=complex)
+    v[pos - 1] = _complex(v_re, v_im)
 
     s = _injections(net, {"injections": doc.get("injections", [])})
     return OperatingPoint(v=v, s=s, provenance=provenance)

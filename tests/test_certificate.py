@@ -9,12 +9,11 @@ from hypothesis.extra.numpy import arrays
 import flowcert as fc
 from flowcert.certificate import (
     CONJUGATE_EXPONENT,
-    _apply_passes,
     _column_maxima,
     _dense_kernel as _dense_reference,
     _pass_coupling,
     _q_norms,
-    _unit_triangular,
+    _tree_passes,
     check_prior_conditions,
     solution_ball,
     theorem_conditions,
@@ -322,11 +321,12 @@ def test_tree_passes_match_the_separator_product(seed, n):
     want = np.empty((n, n))
     want[np.ix_(order, order)] = _product_kernel(parent, kappa, a, b)
     t = _loads(rng, n)
-    coupling = _pass_coupling(order, parent, kappa, a, b)
-    got = _apply_passes(_unit_triangular(coupling), t)
-    np.testing.assert_allclose(got, want @ t, rtol=1e-12, atol=0)
-    squared = _apply_passes(_unit_triangular(coupling.multiply(coupling).tocsc()), t)
-    np.testing.assert_allclose(squared, (want * want) @ t, rtol=1e-12, atol=0)
+    rows, cols, coefs = _pass_coupling(order, parent, kappa, a, b)
+    # each entry is one product, so squaring the entries squares |K|
+    assert np.unique(rows * 4 * n + cols).size == rows.size
+    plain, squared = _tree_passes((rows, cols, coefs), n)
+    np.testing.assert_allclose(plain.row_sums(t), want @ t, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(squared.row_sums(t), (want * want) @ t, rtol=1e-12, atol=0)
     col_max = _column_maxima(parent, kappa, a, b)[np.argsort(order)]
     np.testing.assert_allclose(col_max, want.max(axis=0), rtol=1e-12, atol=0)
 
@@ -402,17 +402,22 @@ def test_forest_test_reads_the_factors():
 
 
 def test_tree_passes_add_non_negative_terms_only(feeder_grid):
-    # The pass operator factors as itself times the identity, with no
-    # fill and unit pivots, and every off-diagonal entry is <= 0, so a
+    # The operator over S and Y factors as itself times the identity, with
+    # no fill and unit pivots, and every off-diagonal entry is <= 0, so a
     # forward substitution from a non-negative right-hand side adds
-    # non-negative terms only.
+    # non-negative terms only; the matvecs that give that right-hand side
+    # from t and the row sums from (t, S, Y) hold no negative entry, and
+    # add each row's terms in the order of their unknowns.
     passes = feeder_grid.kernel.passes
-    size = 4 * feeder_grid.kernel.n
-    lower, upper = passes.L.tocoo(), passes.U.tocoo()
+    size = 2 * feeder_grid.kernel.n
+    lower, upper = passes.lu.L.tocoo(), passes.lu.U.tocoo()
     assert upper.nnz == size and np.all(upper.row == upper.col)
     assert np.all(upper.data == 1.0)
     assert np.all(lower.data[lower.row == lower.col] == 1.0)
     assert np.all(lower.data[lower.row != lower.col] <= 0.0)
+    for matvec in (passes.spread, passes.gather):
+        assert matvec.has_canonical_format
+        assert np.all(matvec.data >= 0.0)
 
 
 # --- loading measure ------------------------------------------------------------

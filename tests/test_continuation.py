@@ -270,7 +270,17 @@ def test_sweep_evaluates_prior_conditions_once_per_point(
         assert len(calls) == 1
 
 
-def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat):
+def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat, feeder_op, monkeypatch):
+    # Every argument is checked before set-up: no bad one reaches xi, the
+    # fixed-point options included when the fixed-point pass is skipped.
+    calls = []
+    real = fc.certificate.xi
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fc.certificate, "xi", counted)
     with pytest.raises(ValueError, match="grid points"):
         sweep(feeder_net, feeder_s_hat, steps=1)
     with pytest.raises(ValueError, match="zero"):
@@ -278,8 +288,16 @@ def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat):
     for value in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="kappa_max must be finite and positive"):
             sweep(feeder_net, feeder_s_hat, kappa_max=value, steps=4)
-        with pytest.raises(ValueError, match="tol must be finite and positive"):
-            sweep(feeder_net, feeder_s_hat, kappa_max=1.0, steps=4, fp_tol=value)
+        for run_fixed_point in (True, False):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                sweep(feeder_net, feeder_s_hat, feeder_op, kappa_max=1.0, steps=512,
+                      fp_tol=value, run_fixed_point=run_fixed_point)
+    for value in (0, -1):
+        for run_fixed_point in (True, False):
+            with pytest.raises(ValueError, match="fp_max_iter must be at least 1"):
+                sweep(feeder_net, feeder_s_hat, feeder_op, kappa_max=1.0, steps=512,
+                      fp_max_iter=value, run_fixed_point=run_fixed_point)
+    assert calls == []
 
 
 def test_sweep_table_shape(feeder_net, feeder_s_hat, feeder_op):

@@ -1,11 +1,16 @@
 import copy
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowcert as fc
 from flowcert.errors import InvalidNetworkError
+from flowcert.network import NetworkArrays, NetworkDescription
 
 MINIMAL_DOC = {
     "bases": {"power_mva": 1.0, "voltage_kv": 1.0},
@@ -298,3 +303,492 @@ def test_operating_point_requires_all_voltages(feeder_net):
     doc = {"voltages": [{"bus": "1", "re": 1.0, "im": 0.0}], "injections": []}
     with pytest.raises(InvalidNetworkError, match="missing voltage"):
         fc.parse_operating_point(feeder_net, json.dumps(doc))
+
+
+# --- the per-record parsers, kept as a reference ------------------------------
+#
+# The parsers as they were before ingestion read whole columns: one
+# record at a time, one rule at a time.  Every document must give the
+# column-wise parsers' outputs bit for bit, or their exception and message.
+
+
+def reference_build_network(buses, branches, power_base, voltage_base):
+    for name, base in (("power", power_base), ("voltage", voltage_base)):
+        if not math.isfinite(base):
+            raise InvalidNetworkError(f"{name} base must be finite, got {base}")
+        if base <= 0:
+            raise InvalidNetworkError(f"{name} base must be positive, got {base}")
+
+    seen = set()
+    slack_buses = []
+    load_buses = []
+    for bus in buses:
+        if not _reference_finite(bus.shunt_admittance):
+            raise InvalidNetworkError(
+                f"bus {bus.id!r} has non-finite shunt admittance {bus.shunt_admittance}"
+            )
+        if bus.id in seen:
+            raise InvalidNetworkError(f"duplicate bus id {bus.id!r}")
+        seen.add(bus.id)
+        if bus.kind == "slack":
+            slack_buses.append(bus)
+        elif bus.kind == "load":
+            load_buses.append(bus)
+        else:
+            raise InvalidNetworkError(f"bus {bus.id!r} has unknown kind {bus.kind!r}")
+        if bus.shunt_admittance.real < 0:
+            raise InvalidNetworkError(
+                f"bus {bus.id!r} has negative shunt conductance "
+                f"{bus.shunt_admittance.real}"
+            )
+    if len(slack_buses) != 1:
+        raise InvalidNetworkError(
+            f"expected exactly one slack bus, found {len(slack_buses)}"
+        )
+    ordered = (slack_buses[0], *load_buses)
+    index = {bus.id: i for i, bus in enumerate(ordered)}
+
+    branches = tuple(branches)
+    from_pos, to_pos = [], []
+    for br in branches:
+        i, j = index.get(br.from_bus), index.get(br.to_bus)
+        fault = _reference_branch_fault(br, i, j)
+        if fault:
+            raise InvalidNetworkError(f"branch {br.from_bus!r}->{br.to_bus!r} {fault}")
+        from_pos.append(i)
+        to_pos.append(j)
+
+    unreachable = _reference_first_unreachable(len(ordered), from_pos, to_pos)
+    if unreachable is not None:
+        raise InvalidNetworkError(
+            f"network is disconnected: bus {ordered[unreachable].id!r} is not "
+            f"reachable from the slack bus"
+        )
+    return NetworkDescription(
+        buses=ordered,
+        branches=branches,
+        power_base=float(power_base),
+        voltage_base=float(voltage_base),
+        index=index,
+        arrays=NetworkArrays(
+            from_pos=np.array(from_pos, dtype=np.intp),
+            to_pos=np.array(to_pos, dtype=np.intp),
+            admittance=np.array([br.admittance for br in branches], dtype=complex),
+            ratio=np.array([br.ratio for br in branches], dtype=complex),
+            shunt=np.array([bus.shunt_admittance for bus in ordered], dtype=complex),
+        ),
+    )
+
+
+def _reference_finite(z):
+    return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def _reference_branch_fault(br, i, j):
+    if not _reference_finite(br.admittance):
+        return f"has non-finite admittance {br.admittance}"
+    if not _reference_finite(br.ratio):
+        return f"has non-finite ratio {br.ratio}"
+    if br.from_bus == br.to_bus:
+        return "is a self-loop"
+    if i is None:
+        return f"references unknown bus {br.from_bus!r}"
+    if j is None:
+        return f"references unknown bus {br.to_bus!r}"
+    if br.kind not in ("line", "transformer"):
+        return f"has unknown kind {br.kind!r}"
+    if br.admittance.real <= 0:
+        return f"has non-positive conductance {br.admittance.real}"
+    if br.ratio == 0:
+        return "has zero ratio"
+    if br.kind == "line" and br.ratio != 1:
+        return "is a line but its ratio is not 1"
+    return None
+
+
+def _reference_first_unreachable(n_buses, from_pos, to_pos):
+    adjacency = [[] for _ in range(n_buses)]
+    for a, b in zip(from_pos, to_pos):
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    reached = [False] * n_buses
+    reached[0] = True
+    stack = [0]
+    while stack:
+        for other in adjacency[stack.pop()]:
+            if not reached[other]:
+                reached[other] = True
+                stack.append(other)
+    return None if all(reached) else reached.index(False)
+
+
+def _reference_load_json(text, what):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidNetworkError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidNetworkError(f"{what} must be a JSON object")
+    return doc
+
+
+def _reference_number(record, key, what, default=None):
+    if key not in record:
+        if default is not None:
+            return default
+        raise InvalidNetworkError(f"{what} is missing field {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidNetworkError(f"{what} field {key!r} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidNetworkError(f"{what} field {key!r} must be finite, got {number}")
+    return number
+
+
+def _reference_bus_id(value, what):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    raise InvalidNetworkError(f"{what} must be a string or integer bus id")
+
+
+def _reference_records(doc, key, what):
+    if key not in doc or not isinstance(doc[key], list):
+        raise InvalidNetworkError(f"{what} must contain a {key!r} list")
+    for entry in doc[key]:
+        if not isinstance(entry, dict):
+            raise InvalidNetworkError(f"every {key!r} entry must be an object")
+    return doc[key]
+
+
+def reference_parse_network(text):
+    doc = _reference_load_json(text, "network document")
+    unknown = set(doc) - {"bases", "buses", "branches"}
+    if unknown:
+        raise InvalidNetworkError(f"unknown network sections: {sorted(unknown)}")
+    if "bases" not in doc or not isinstance(doc["bases"], dict):
+        raise InvalidNetworkError("network document must contain a 'bases' object")
+    power_base = _reference_number(doc["bases"], "power_mva", "bases")
+    voltage_base = _reference_number(doc["bases"], "voltage_kv", "bases")
+
+    buses = []
+    for rec in _reference_records(doc, "buses", "network document"):
+        bus_id = _reference_bus_id(rec.get("id"), "bus id")
+        kind = rec.get("kind")
+        if kind not in ("slack", "load"):
+            raise InvalidNetworkError(f"bus {bus_id!r} has unknown kind {kind!r}")
+        shunt = complex(
+            _reference_number(rec, "shunt_g", f"bus {bus_id!r}", default=0.0),
+            _reference_number(rec, "shunt_b", f"bus {bus_id!r}", default=0.0),
+        )
+        buses.append(fc.Bus(id=bus_id, kind=kind, shunt_admittance=shunt))
+
+    branches = []
+    for rec in _reference_records(doc, "branches", "network document"):
+        from_id = _reference_bus_id(rec.get("from"), "branch 'from'")
+        to_id = _reference_bus_id(rec.get("to"), "branch 'to'")
+        label = f"branch {from_id!r}->{to_id!r}"
+        admittance = complex(_reference_number(rec, "g", label),
+                             _reference_number(rec, "b", label))
+        ratio = complex(
+            _reference_number(rec, "ratio_re", label, default=1.0),
+            _reference_number(rec, "ratio_im", label, default=0.0),
+        )
+        branches.append(fc.Branch(from_bus=from_id, to_bus=to_id, kind=rec.get("kind"),
+                                  admittance=admittance, ratio=ratio))
+
+    return reference_build_network(buses, branches, power_base, voltage_base)
+
+
+def reference_parse_injections(net, text):
+    return _reference_injections(net, _reference_load_json(text, "injection document"))
+
+
+def _reference_injections(net, doc):
+    s = np.zeros(net.n, dtype=complex)
+    filled = set()
+    for rec in _reference_records(doc, "injections", "injection document"):
+        bus_id = _reference_bus_id(rec.get("bus"), "injection bus")
+        if bus_id not in net.index:
+            raise InvalidNetworkError(f"injection references unknown bus {bus_id!r}")
+        if bus_id == net.slack.id:
+            raise InvalidNetworkError("the slack bus carries no specified injection")
+        if bus_id in filled:
+            raise InvalidNetworkError(f"duplicate injection for bus {bus_id!r}")
+        filled.add(bus_id)
+        power = complex(
+            _reference_number(rec, "p_mw", f"injection for bus {bus_id!r}"),
+            _reference_number(rec, "q_mvar", f"injection for bus {bus_id!r}"),
+        )
+        s[net.load_index(bus_id)] = fc.to_per_unit(power, net.power_base)
+    return s
+
+
+def reference_parse_operating_point(net, text):
+    doc = _reference_load_json(text, "operating-point document")
+    provenance = doc.get("provenance", "measured")
+    if provenance not in ("measured", "solved"):
+        raise InvalidNetworkError(f"unknown provenance {provenance!r}")
+
+    v = np.full(net.n, np.nan, dtype=complex)
+    for rec in _reference_records(doc, "voltages", "operating-point document"):
+        bus_id = _reference_bus_id(rec.get("bus"), "voltage bus")
+        if bus_id not in net.index or bus_id == net.slack.id:
+            raise InvalidNetworkError(f"voltage entry for invalid bus {bus_id!r}")
+        idx = net.load_index(bus_id)
+        if not np.isnan(v[idx].real):
+            raise InvalidNetworkError(f"duplicate voltage for bus {bus_id!r}")
+        v[idx] = complex(
+            _reference_number(rec, "re", f"voltage for bus {bus_id!r}"),
+            _reference_number(rec, "im", f"voltage for bus {bus_id!r}"),
+        )
+    missing = np.isnan(v.real)
+    if missing.any():
+        bus = net.load_buses[int(np.flatnonzero(missing)[0])]
+        raise InvalidNetworkError(f"missing voltage for bus {bus.id!r}")
+
+    s = _reference_injections(net, {"injections": doc.get("injections", [])})
+    return fc.OperatingPoint(v=v, s=s, provenance=provenance)
+
+
+# --- mutated documents ---------------------------------------------------------
+
+# Values a mutation writes into a field: wrong types, non-finite and
+# out-of-range numbers, signed zeros, and ids that are unknown, the
+# slack's, or integers.
+ODD_VALUES = [True, False, None, "1.5", "x", [], {}, NAN, INF, -INF, 10**400, -(10**400),
+              -0.0, 0.0, 0, -1.0, 1e-300, 2**53 + 1, 3, "0", "1", "2", "99", 1, 2]
+FIELDS = {
+    "bases": ["power_mva", "voltage_kv"],
+    "buses": ["id", "kind", "shunt_g", "shunt_b"],
+    "branches": ["from", "to", "kind", "g", "b", "ratio_re", "ratio_im"],
+    "injections": ["bus", "p_mw", "q_mvar"],
+    "voltages": ["bus", "re", "im"],
+}
+KINDS = ["slack", "load", "line", "transformer", "generator", None, 1]
+
+
+def _part(rng, low, high):
+    """A number in [low, high), sometimes a signed zero or an integer."""
+    draw = rng.random()
+    if draw < 0.1:
+        return -0.0
+    if draw < 0.15:
+        return 0
+    if draw < 0.2:
+        return int(rng.integers(max(1, int(low)), max(2, int(high) + 1)))
+    return float(rng.uniform(low, high))
+
+
+def network_document(rng):
+    """A valid network document: a random tree, maybe one chord, shunts,
+    transformers, integer ids and a non-unit power base, in random order."""
+    n = int(rng.integers(1, 7))
+    buses = [{"id": "0", "kind": "slack"}]
+    for i in range(1, n + 1):
+        rec = {"id": i if rng.random() < 0.2 else str(i), "kind": "load"}
+        if rng.random() < 0.5:
+            rec["shunt_g"] = _part(rng, 0.0, 0.05)
+        if rng.random() < 0.5:
+            rec["shunt_b"] = _part(rng, -0.2, 0.2)
+        buses.append(rec)
+    pairs = [(int(rng.integers(0, i)), i) for i in range(1, n + 1)]
+    if n >= 2 and rng.random() < 0.3:
+        pairs.append(tuple(int(x) for x in rng.choice(n + 1, size=2, replace=False)))
+    branches = []
+    for a, b in pairs:
+        rec = {"from": str(a), "to": str(b), "kind": "line",
+               "g": float(rng.uniform(0.5, 10.0)), "b": _part(rng, -30.0, 0.0)}
+        if rng.random() < 0.3:
+            rec.update(kind="transformer", ratio_re=float(rng.uniform(0.9, 1.1)),
+                       ratio_im=_part(rng, -0.05, 0.05))
+        elif rng.random() < 0.3:
+            rec.update(ratio_re=1.0, ratio_im=-0.0)
+        branches.append(rec)
+    power = [1.0, 5.0, 100, 0.3, 7.0, 3][int(rng.integers(0, 6))]
+    return {"bases": {"power_mva": power, "voltage_kv": 2.4},
+            "buses": [buses[k] for k in rng.permutation(len(buses))],
+            "branches": [branches[k] for k in rng.permutation(len(branches))]}
+
+
+def injection_records(rng, net):
+    """Injections for a random subset of the load buses, in random order."""
+    loads = [bus.id for bus in net.load_buses]
+    picked = rng.permutation(len(loads))[:int(rng.integers(0, len(loads) + 1))]
+    return [{"bus": int(loads[k]) if loads[k].isdigit() and rng.random() < 0.2 else loads[k],
+             "p_mw": _part(rng, -2.0, 2.0), "q_mvar": _part(rng, -1.0, 1.0)}
+            for k in picked]
+
+
+def operating_point_document(rng, net):
+    voltages = [{"bus": bus.id, "re": _part(rng, 0.9, 1.1), "im": _part(rng, -0.1, 0.1)}
+                for bus in net.load_buses]
+    doc = {"voltages": [voltages[k] for k in rng.permutation(len(voltages))]}
+    if rng.random() < 0.8:
+        doc["injections"] = injection_records(rng, net)
+    if rng.random() < 0.7:
+        doc["provenance"] = ["measured", "solved"][int(rng.integers(0, 2))]
+    return doc
+
+
+def mutate(rng, doc):
+    """``doc`` (a copy) with up to three random faults."""
+    doc = copy.deepcopy(doc)
+    sections = [key for key in FIELDS if key in doc]
+    for _ in range(int(rng.integers(0, 4))):
+        key = sections[int(rng.integers(0, len(sections)))]
+        records = [doc[key]] if key == "bases" else doc[key]
+        if not isinstance(records, list) or not records \
+                or not all(isinstance(r, dict) for r in records):
+            continue
+        k = int(rng.integers(0, len(records)))
+        rec = records[k]
+        fields = FIELDS[key]
+        field = fields[int(rng.integers(0, len(fields)))]
+        action = int(rng.integers(0, 10))
+        if action <= 2:
+            rec[field] = ODD_VALUES[int(rng.integers(0, len(ODD_VALUES)))]
+        elif action == 3:  # several fields at once: which rule of a record comes first
+            for name in fields:
+                if rng.random() < 0.5:
+                    rec[name] = ODD_VALUES[int(rng.integers(0, len(ODD_VALUES)))]
+        elif action == 4:
+            rec.pop(field, None)
+        elif action == 5 and key != "bases":
+            records.append(copy.deepcopy(rec))  # a duplicate id, or a parallel branch
+        elif action == 6 and key != "bases":
+            records[k] = [7, "x", None, []][int(rng.integers(0, 4))]
+        elif action == 7:
+            rec["kind"] = KINDS[int(rng.integers(0, len(KINDS)))]
+        elif action == 8 and key == "branches":
+            rec["to"] = rec.get("from")  # a self-loop
+        elif action == 8 and key == "buses":
+            records.append({"id": "island", "kind": "load"})  # no branch reaches it
+        elif action == 9 and key != "bases":
+            if rng.random() < 0.2:
+                doc[key] = {"not": "a list"}
+                return doc
+            records.pop(k)  # a missing voltage, an unreached bus or a dangling branch
+    if rng.random() < 0.05:
+        doc["provenance"] = ["guessed", None, 1, []][int(rng.integers(0, 4))]
+    return doc
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=complex).view(np.int64)
+
+
+def assert_same(got, want):
+    """Both raised the same error, or gave the same value bit for bit."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want), (got, want)
+        return
+    assert not isinstance(got, Exception), got
+    if isinstance(want, NetworkDescription):
+        assert got == want and got.index == want.index
+        assert type(got.power_base) is float and type(got.voltage_base) is float
+        for name in ("from_pos", "to_pos"):
+            g, w = getattr(got.arrays, name), getattr(want.arrays, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        for name in ("admittance", "ratio", "shunt"):
+            assert np.array_equal(_bits(getattr(got.arrays, name)),
+                                  _bits(getattr(want.arrays, name)))
+        assert np.array_equal(_bits([b.shunt_admittance for b in got.buses]),
+                              _bits([b.shunt_admittance for b in want.buses]))
+        assert np.array_equal(_bits([b.admittance for b in got.branches] + [0j]),
+                              _bits([b.admittance for b in want.branches] + [0j]))
+        assert np.array_equal(_bits([b.ratio for b in got.branches] + [0j]),
+                              _bits([b.ratio for b in want.branches] + [0j]))
+    elif isinstance(want, fc.OperatingPoint):
+        assert got.provenance == want.provenance
+        assert np.array_equal(_bits(got.v), _bits(want.v))
+        assert np.array_equal(_bits(got.s), _bits(want.s))
+    else:
+        assert got.dtype == want.dtype and np.array_equal(_bits(got), _bits(want))
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=seeds)
+def test_network_documents_parse_as_record_by_record(seed):
+    rng = np.random.default_rng(seed)
+    text = json.dumps(mutate(rng, network_document(rng)))
+    assert_same(outcome(fc.parse_network, text), outcome(reference_parse_network, text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds)
+def test_scenario_documents_parse_as_record_by_record(seed):
+    rng = np.random.default_rng(seed)
+    net = reference_parse_network(json.dumps(network_document(rng)))
+    text = json.dumps(mutate(rng, {"injections": injection_records(rng, net)}))
+    assert_same(outcome(fc.parse_injections, net, text),
+                outcome(reference_parse_injections, net, text))
+    text = json.dumps(mutate(rng, operating_point_document(rng, net)))
+    assert_same(outcome(fc.parse_operating_point, net, text),
+                outcome(reference_parse_operating_point, net, text))
+
+
+def test_per_unit_injections_divide_as_cpython_does(feeder_net):
+    # complex(p, q) / base is CPython's complex division; the sign of a
+    # zero part is where an array quotient could differ from it.
+    cases = [(-0.0, 1.0), (-0.0, -1.0), (1.0, -0.0), (-1.0, -0.0), (-0.0, -0.0),
+             (0.0, 0.0), (0.3, 0.7), (2**53 + 1, 3)]
+    loads = [bus.id for bus in feeder_net.load_buses]
+    text = json.dumps({"injections": [{"bus": bus, "p_mw": p, "q_mvar": q}
+                                      for bus, (p, q) in zip(loads, cases)]})
+    s = fc.parse_injections(feeder_net, text)
+    want = [fc.to_per_unit(complex(p, q), feeder_net.power_base) for p, q in cases]
+    assert np.array_equal(_bits(s[:len(cases)]), _bits(want))
+
+
+ODD_BUS_FIELDS = {
+    "id": ["0", "1", "island", 1],
+    "kind": ["slack", "load", "generator", None],
+    "shunt_admittance": [complex(NAN, 0.0), complex(0.0, INF), complex(-0.1, 0.2),
+                         complex(-0.0, -0.0), 0.05 + 0.1j],
+}
+ODD_BRANCH_FIELDS = {
+    "from_bus": ["0", "1", "2", "99"],
+    "to_bus": ["0", "1", "2", "99"],
+    "kind": ["line", "transformer", "cable", None],
+    "admittance": [complex(-1.0, 2.0), 0j, complex(-0.0, 1.0), complex(INF, 1.0),
+                   complex(1.0, NAN), 2 - 5j],
+    "ratio": [0j, complex(NAN, 1.0), 1.05 + 0j, complex(1.0, -0.0), -0.0j],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=seeds)
+def test_build_network_checks_as_record_by_record(seed):
+    # Bus and Branch values that no document gives (non-finite ones) as
+    # well as those it does, and odd bases.
+    rng = np.random.default_rng(seed)
+    net = reference_parse_network(json.dumps(network_document(rng)))
+    parts = {"buses": list(net.buses), "branches": list(net.branches)}
+    odd = {"buses": ODD_BUS_FIELDS, "branches": ODD_BRANCH_FIELDS}
+    for _ in range(int(rng.integers(0, 4))):
+        key = ["buses", "branches"][int(rng.integers(0, 2))]
+        k = int(rng.integers(0, len(parts[key])))
+        field = list(odd[key])[int(rng.integers(0, len(odd[key])))]
+        values = odd[key][field]
+        parts[key][k] = dataclasses.replace(parts[key][k],
+                                            **{field: values[int(rng.integers(0, len(values)))]})
+    buses, branches = ([x[k] for k in rng.permutation(len(x))] for x in parts.values())
+    power = [net.power_base, NAN, 0.0, -1.0, 5.0][int(rng.integers(0, 5))]
+    assert_same(outcome(fc.build_network, buses, branches, power, 2.4),
+                outcome(reference_build_network, buses, branches, power, 2.4))
