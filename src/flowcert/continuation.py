@@ -13,7 +13,9 @@ by bisection.
 Optionally the plain fixed-point iteration (uncertified, from the
 zero-load profile) is run on the grid points, iterated together in
 blocks (`fixed_point.converges`), to record where it empirically
-converges.
+converges.  When the grid fills more than one block, the blocks run on
+every CPU the process may run on (``taskset`` limits them); the outputs
+are the same on one CPU or many.
 """
 
 from __future__ import annotations

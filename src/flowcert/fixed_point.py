@@ -14,7 +14,15 @@ injections together as the columns of one block, each from its own
 start, and applies G to the whole block with one `iterate_once` call,
 that is one multi-right-hand-side solve, per iteration.  Pending
 injections refill the block as columns retire, so it never holds more
-than max(1, BLOCK_ENTRIES // n) columns.  A column retires
+than max(1, BLOCK_ENTRIES // n) columns.  `converges` runs the loop on
+the calling thread and, while at least one full block of injections is
+pending beyond the blocks handed out, one more copy in a worker thread,
+up to the number of CPUs the process may run on; every copy holds its
+own block and refills it from one shared source of numbered injections,
+read under a lock.  The solves and the block arithmetic release the
+interpreter lock, so the copies overlap.  `solve_fixed_point`, a set of
+injections that fits one block, and a process on one CPU start no
+thread.  A column retires
 
 * converged, once its step falls below ``tol`` and the probe G(v) of
   the converged iterate, taken in the block's next iteration, passes the
@@ -30,7 +38,8 @@ than max(1, BLOCK_ENTRIES // n) columns.  A column retires
 SuperLU solves each column of a block bit for bit as it solves that
 column alone, and every other operation is elementwise or per column,
 so each column keeps the iterates, step history and outcome it has on
-its own.  `solve_fixed_point` is the loop at one column; `converges`
+its own, whatever block it shares, and however many loops run or in
+what order.  `solve_fixed_point` is the loop at one column; `converges`
 runs the sweep's injections through it together.
 """
 
@@ -38,6 +47,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +115,15 @@ def iterate_once(
 
 
 def _block(n: int, name: str, cols) -> np.ndarray:
-    """The (n,) vectors ``cols`` as the columns of one complex (n, k) block."""
-    block = np.array(cols, dtype=complex)
-    if block.shape != (len(cols), n):
-        raise ValueError(f"{name} has shape {block.shape[1:]}, expected ({n},)")
-    return block.T
+    """The (n,) vectors ``cols`` as the columns of one complex (n, k) block.
+
+    Each column's shape is checked on its own, so a wrong one gets the
+    same message whatever columns share its refill.
+    """
+    for col in cols:
+        if np.shape(col) != (n,):
+            raise ValueError(f"{name} has shape {np.shape(col)}, expected ({n},)")
+    return np.array(cols, dtype=complex).T
 
 
 class _Column:
@@ -123,27 +138,87 @@ class _Column:
         self.probing = False  # its last step fell below tol: its next update is the probe
 
 
-def _iterate_block(factors, w, columns, tol, max_iter):
-    """The iteration loop: yield (index, outcome) for each column as it retires.
+class _Stopped(Exception):
+    """Raised in a block loop by `_Pending.take` once another loop has failed."""
 
-    ``columns`` yields (s, ball) pairs: an (n,) injection, and the
-    certificate ball whose center starts the column, or None to start
-    from the zero-load profile.  ``index`` counts the pairs from 0.  The
-    outcome is a SolveResult, or the ConvergenceError or
-    VoltageCollapseError that ends the column.
+
+class _Pending:
+    """The numbered (s, ball) pairs that no block loop has taken yet.
+
+    Every read goes through one lock, because the pairs may come from a
+    generator, which two threads may not advance at once.  Once a read
+    comes back short the source is drained, and later takes skip the lock.
     """
+
+    def __init__(self, columns):
+        self._columns = enumerate(columns)
+        self._lock = threading.Lock()
+        self._drained = False
+        self.error: BaseException | None = None  # the first failure of any loop
+
+    def take(self, k: int) -> list:
+        """Up to ``k`` pending pairs as (index, (s, ball)); raises _Stopped
+        once a loop has failed."""
+        if self.error is not None:
+            raise _Stopped
+        if self._drained:
+            return []
+        with self._lock:
+            taken = list(itertools.islice(self._columns, k))
+            self._drained = len(taken) < k
+        return taken
+
+    def ahead(self, k: int) -> int:
+        """How many pairs, up to ``k``, are pending; reads them ahead to know."""
+        with self._lock:
+            read = list(itertools.islice(self._columns, k))
+            self._columns = itertools.chain(read, self._columns)
+        return len(read)
+
+    def fail(self, error: BaseException) -> None:
+        """Record a loop's failure; the other loops stop at their next take."""
+        with self._lock:
+            if self.error is None:
+                self.error = error
+
+
+def _check_limits(tol: float, max_iter: int) -> None:
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
+def _width(w: ZeroLoadProfile) -> int:
+    """Columns of a block: max(1, BLOCK_ENTRIES // n)."""
+    return max(1, BLOCK_ENTRIES // w.w.shape[0])
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _iterate_block(factors, w, pending, tol, max_iter):
+    """The iteration loop: yield (index, outcome) for each column as it retires.
+
+    ``pending`` is the `_Pending` source of (s, ball) pairs: an (n,)
+    injection, and the certificate ball whose center starts the column,
+    or None to start from the zero-load profile.  ``index`` counts the
+    pairs from 0.  The outcome is a SolveResult, or the ConvergenceError
+    or VoltageCollapseError that ends the column.  ``tol`` and
+    ``max_iter`` are checked by the callers (`_check_limits`).
+    """
     n = w.w.shape[0]
-    width = max(1, BLOCK_ENTRIES // n)
-    pending = enumerate(columns)
+    width = _width(w)
     scale = w.w[:, None]
     block: list[_Column] = []
     s = v = None  # (n, len(block)): the block's injections and iterates
     while True:
-        fresh = list(itertools.islice(pending, width - len(block)))
+        fresh = pending.take(width - len(block))
         if fresh:
             new = [_Column(index, ball) for index, (_, ball) in fresh]
             new_s = _block(n, "injection", [x for _, (x, _) in fresh])
@@ -227,7 +302,8 @@ def solve_fixed_point(
     infinite injection), or VoltageCollapseError if an iterate
     degenerates.
     """
-    ((_, outcome),) = _iterate_block(factors, w, [(s, ball)], tol, max_iter)
+    _check_limits(tol, max_iter)
+    ((_, outcome),) = _iterate_block(factors, w, _Pending([(s, ball)]), tol, max_iter)
     if not isinstance(outcome, SolveResult):
         raise outcome
     return outcome
@@ -243,10 +319,43 @@ def converges(
     """Whether `solve_fixed_point` without a ball returns for each of the
     (n,) ``injections``, as a boolean array in their order.
 
-    The injections are iterated together, in blocks; each is read only
-    when a column of the block is free for it.
+    The injections are iterated together, in blocks of max(1,
+    BLOCK_ENTRIES // n) columns.  The calling thread runs one block loop;
+    while at least one full block of injections is pending beyond those
+    handed out, one more loop starts in a worker thread, up to the number
+    of CPUs the process may run on (`os.sched_getaffinity`, which
+    ``taskset`` sets).  To count them, up to that many blocks of
+    injections are read ahead; every other injection is read only when a
+    column of some block is free for it.  The flags do not depend on the
+    number of loops.  When any loop raises, the others stop at their next
+    iteration, every worker is joined, and the first exception is raised
+    here; no worker outlives the call.
     """
-    columns = ((s, None) for s in injections)
-    flags = {j: isinstance(outcome, SolveResult)
-             for j, outcome in _iterate_block(factors, w, columns, tol, max_iter)}
+    _check_limits(tol, max_iter)
+    pending = _Pending((s, None) for s in injections)
+    width = _width(w)
+    loops = max(1, pending.ahead(_cpu_count() * width) // width)
+    flags = {}
+
+    def run():
+        try:
+            for j, outcome in _iterate_block(factors, w, pending, tol, max_iter):
+                flags[j] = isinstance(outcome, SolveResult)
+        except _Stopped:
+            pass
+        except BaseException as exc:  # re-raised in the caller below
+            pending.fail(exc)
+
+    workers = []
+    try:
+        for _ in range(loops - 1):
+            worker = threading.Thread(target=run, name="flowcert-block-loop")
+            worker.start()
+            workers.append(worker)
+        run()
+    finally:
+        for worker in workers:
+            worker.join()
+    if pending.error is not None:
+        raise pending.error
     return np.array([flags[j] for j in sorted(flags)], dtype=bool)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowcert as fc
+from flowcert import fixed_point
 from flowcert.certificate import check_prior_conditions, theorem_conditions
 from flowcert.continuation import sweep, sweep_table
 from flowcert.errors import ConvergenceError, VoltageCollapseError
@@ -249,6 +250,22 @@ def test_fp_converged_matches_single_solves_into_collapse(feeder_net, feeder_gri
     want = single_outcomes(feeder_net, result)
     assert want[-1] == "VoltageCollapseError"
     assert result.fp_converged.tolist() == [x == "ok" for x in want]
+
+
+def test_sweep_table_is_the_same_on_one_cpu_and_on_several(
+        feeder_net, feeder_s_hat, feeder_op, monkeypatch):
+    # 2048 points at 1365 columns a block: two full blocks for two loops.
+    # 4 columns a block: 512 blocks, up to 3 loops.
+    tables = set()
+    for entries in (fixed_point.BLOCK_ENTRIES, 48):
+        monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", entries)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(fixed_point, "_cpu_count", lambda: cpus)
+            result = sweep(feeder_net, feeder_s_hat, operating_point=feeder_op,
+                           kappa_max=200.0, steps=2048)
+            tables.add(sweep_table(result))
+    assert len(tables) == 1
+    assert 0 < result.fp_converged.sum() < 2048
 
 
 def test_sweep_evaluates_prior_conditions_once_per_point(

@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +9,13 @@ import pytest
 import flowcert as fc
 from flowcert import fixed_point
 from flowcert.errors import ConvergenceError, VoltageCollapseError
-from flowcert.fixed_point import SolveResult, _iterate_block, iterate_once, solve_fixed_point
+from flowcert.fixed_point import (
+    SolveResult,
+    _iterate_block,
+    _Pending,
+    iterate_once,
+    solve_fixed_point,
+)
 from netrand import (
     random_injections,
     random_network,
@@ -214,6 +223,10 @@ def test_solve_rejects_an_injection_that_is_not_one_vector(feeder_grid):
             solve_fixed_point(feeder_grid.factors, feeder_grid.w, s)
     with pytest.raises(ValueError, match="max_iter"):
         solve_fixed_point(feeder_grid.factors, feeder_grid.w, np.zeros(12), max_iter=0)
+    # the same message when the wrong column enters the block beside others
+    with pytest.raises(ValueError, match=r"injection has shape \(11,\), expected \(12,\)"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w,
+                              [np.zeros(12), np.zeros(11), np.zeros(12)])
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -259,7 +272,7 @@ def single(grid, s, **kwargs):
 
 def block(grid, injections, ball=None, tol=fixed_point.DEFAULT_TOL, max_iter=60):
     """Every injection's outcome from one run of the block loop, in order."""
-    got = dict(_iterate_block(grid.factors, grid.w, [(s, ball) for s in injections],
+    got = dict(_iterate_block(grid.factors, grid.w, _Pending([(s, ball) for s in injections]),
                               tol, max_iter))
     return [got[j] for j in range(len(injections))]
 
@@ -366,3 +379,133 @@ def test_refill_keeps_the_block_within_its_budget(feeder_grid, monkeypatch):
     full = next(i for i, width in enumerate(widths) if width < 3)
     assert set(widths[:full]) == {3} and full > 61
     assert widths[full:] == sorted(widths[full:], reverse=True)
+
+
+# --- block loops on several CPUs --------------------------------------------------
+
+
+def recorded_loops(monkeypatch):
+    """Patch `_iterate_block` to record each loop's thread and every
+    column's outcome; returns (threads, outcomes)."""
+    threads, outcomes = [], {}
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        for j, outcome in _iterate_block(*args):
+            outcomes[j] = outcome
+            yield j, outcome
+
+    monkeypatch.setattr(fixed_point, "_iterate_block", recording)
+    return threads, outcomes
+
+
+def counted_thread_starts(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counting(self):
+        starts.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_converges_gives_the_same_outcomes_on_any_number_of_cpus(
+        feeder_grid, monkeypatch, cpus):
+    # 3 columns a block on 12-bus feeder13 and on a 40-bus meshed network:
+    # each ray of 40 injections fills 13 blocks, so every CPU count gets
+    # its full number of loops; a short switch interval shuffles their
+    # schedule.
+    monkeypatch.setattr(fixed_point, "_cpu_count", lambda: cpus)
+    rng = np.random.default_rng(49)
+    meshed = fc.prepare_grid(random_network(rng, 40))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for grid, entries in ((feeder_grid, 36), (meshed, 120)):
+            monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", entries)
+            injections = ray_injections(grid, rng, count=38)
+            threads, outcomes = recorded_loops(monkeypatch)
+            flags = fixed_point.converges(grid.factors, grid.w, iter(injections), max_iter=60)
+            assert len(threads) == len(set(threads)) == cpus
+            assert sorted(outcomes) == list(range(len(injections)))
+            for j, s in enumerate(injections):
+                want = single(grid, s, max_iter=60)
+                assert_same_outcome(outcomes[j], want)
+                assert flags[j] == isinstance(want, SolveResult)
+            assert flags.any() and not flags.all()
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_no_thread_starts_for_one_block_or_a_single_solve(feeder_grid, monkeypatch):
+    monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)  # 3 columns a block
+    starts = counted_thread_starts(monkeypatch)
+    rng = np.random.default_rng(50)
+    injections = ray_injections(feeder_grid, rng, count=4)  # 6: one full block and part of one
+    single(feeder_grid, injections[1])
+    for count in (1, 3, 5):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, injections[:count])
+    assert starts == []
+    fixed_point.converges(feeder_grid.factors, feeder_grid.w, injections)
+    assert len(starts) == 1  # two full blocks: one worker beside the caller
+
+
+def test_a_bad_injection_in_a_later_block_raises_in_the_caller(feeder_grid, monkeypatch):
+    monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    rng = np.random.default_rng(51)
+    injections = ray_injections(feeder_grid, rng, count=38)
+    # After the failure is recorded, each of the other two loops starts
+    # at most the one update it may be about to make.
+    failed, late = [], []
+    fail = fixed_point._Pending.fail
+
+    def recording_fail(self, error):
+        fail(self, error)
+        failed.append(error)
+
+    def counting(*args):
+        late.extend(failed[:1])
+        return iterate_once(*args)
+
+    monkeypatch.setattr(fixed_point._Pending, "fail", recording_fail)
+    monkeypatch.setattr(fixed_point, "iterate_once", counting)
+    before = threading.active_count()
+    for bad in (20, 39):
+        wrong = list(injections)
+        wrong[bad] = np.zeros(11)
+        failed.clear()
+        late.clear()
+        with pytest.raises(ValueError, match=r"injection has shape \(11,\), expected \(12,\)"):
+            fixed_point.converges(feeder_grid.factors, feeder_grid.w, iter(wrong))
+        assert threading.active_count() == before
+        assert len(failed) == 1 and len(late) <= 2
+
+
+def test_a_tolerance_that_is_not_finite_fails_before_any_worker_starts(
+        feeder_grid, monkeypatch):
+    monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    starts = counted_thread_starts(monkeypatch)
+    read = []
+
+    def injections():
+        for s in ray_injections(feeder_grid, np.random.default_rng(52), count=38):
+            read.append(s)
+            yield s
+
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, injections(), tol=math.nan)
+    assert starts == [] and read == []
+
+
+def test_cpu_count_is_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert fixed_point._cpu_count() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert fixed_point._cpu_count() == 5
