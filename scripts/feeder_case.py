@@ -61,9 +61,9 @@ def main() -> None:
     print(f"solver agreement (inf-norm gap): {gap:.2e}")
 
     print("\n bus   |v_hat|     |v|       shift")
-    for i, bus in enumerate(net.load_buses):
+    for i, bus_id in enumerate(net.bus_ids[1:]):
         shift = abs(fp.v[i] - op.v[i])
-        print(f"  {bus.id:>3}  {abs(op.v[i]):8.5f}  {abs(fp.v[i]):8.5f}  "
+        print(f"  {bus_id:>3}  {abs(op.v[i]):8.5f}  {abs(fp.v[i]):8.5f}  "
               f"{shift:9.2e}")
 
     result = sweep(net, s_hat, operating_point=op, kappa_max=20.0, steps=256)

@@ -71,13 +71,13 @@ INJECTIONS = {
 
 
 def build_net(z_per_kft: complex) -> fc.NetworkDescription:
-    buses = [fc.Bus("0", "slack")]
-    buses += [fc.Bus(str(i), "load") for i in range(1, 13)]
-    branches = []
-    for from_id, to_id, feet in SEGMENTS:
-        z_pu = z_per_kft * (feet / 1000.0) / Z_BASE_OHM
-        branches.append(fc.Branch(from_id, to_id, "line", 1.0 / z_pu))
-    return fc.build_network(buses, branches, POWER_BASE_MVA, VOLTAGE_BASE_KV)
+    from_ids, to_ids, lengths = zip(*SEGMENTS)
+    admittances = [1.0 / (z_per_kft * (feet / 1000.0) / Z_BASE_OHM) for feet in lengths]
+    return fc.build_network(
+        [str(i) for i in range(13)], ["slack"] + ["load"] * 12, [0j] * 13,
+        from_ids, to_ids, ["line"] * len(SEGMENTS), admittances, [1 + 0j] * len(SEGMENTS),
+        POWER_BASE_MVA, VOLTAGE_BASE_KV,
+    )
 
 
 def injection_vector(net: fc.NetworkDescription, scaled: bool) -> np.ndarray:
@@ -139,11 +139,11 @@ def main() -> None:
         "provenance": "solved",
         "voltages": [
             {
-                "bus": bus.id,
+                "bus": bus_id,
                 "re": nr.v[i].real,
                 "im": nr.v[i].imag,
             }
-            for i, bus in enumerate(net.load_buses)
+            for i, bus_id in enumerate(net.bus_ids[1:])
         ],
         "injections": injection_records(False),
     }

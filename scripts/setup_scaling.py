@@ -75,7 +75,7 @@ def _document(n, pairs, rng, *, transformers):
 def operating_point_document(net, w: np.ndarray, rng: np.random.Generator) -> str:
     """The zero-load voltages ``w`` and one consuming injection per load bus."""
     p = rng.uniform(0.5, 1.5, net.n) * net.power_base
-    ids = [bus.id for bus in net.load_buses]
+    ids = net.bus_ids[1:]
     return json.dumps({
         "provenance": "measured",
         "voltages": [{"bus": bus, "re": float(v.real), "im": float(v.imag)}

@@ -32,8 +32,6 @@ from .errors import (
 )
 from .fixed_point import SolveResult, iterate_once, solve_fixed_point
 from .network import (
-    Branch,
-    Bus,
     NetworkDescription,
     OperatingPoint,
     build_network,

@@ -6,7 +6,7 @@ with primary-side admittance y and complex ratio K contributes
 [[y, -y/K], [-y/conj(K), y/|K|^2]].  A line is the K = 1 case, for
 which each quotient is exact up to the sign of a zero (see below), so
 every branch stamps through these four expressions, each one numpy
-array operation over the arrays `build_network` caches
+array operation over the columns the network holds
 (`network.NetworkArrays`).  Shunts add onto the diagonal.  The
 load-only submatrix plus the slack coupling column are what every
 solver downstream consumes.

@@ -28,13 +28,14 @@ record-by-record pass would meet them (each section's fields in order,
 a section's parse rules before `build_network`'s), so there is one
 validation path and one error for every document.
 
-`build_network` is the one constructor of a `NetworkDescription`; it
-reads its buses' and branches' fields into columns the same way.  From
-those columns it also caches, outside the network's equality (``==``
-compares buses, branches and bases only), what assembly needs:
-``index`` (bus id -> position, slack 0) and ``arrays``
-(`NetworkArrays`: each branch's endpoint positions, admittance and
-ratio, and each bus's shunt, as numpy arrays).
+A network is held as columns, with no object per bus or branch.
+`build_network`, the one constructor of a `NetworkDescription`, takes
+one column per bus and branch field, checks them with the same masks
+and keeps ``bus_ids`` (slack first), ``branch_kinds``, ``index`` (bus
+id -> position) and ``arrays`` (`NetworkArrays`); `parse_network` hands
+it the columns it has checked.  ``==`` compares the bus ids, branch
+kinds, bases and arrays by value (``np.array_equal``, so ``0.0 ==
+-0.0``); a network is not hashable.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -58,35 +58,6 @@ TRANSFORMER = "transformer"
 
 
 @dataclass(frozen=True)
-class Bus:
-    """One bus: the slack reference or a PQ load bus.
-
-    ``shunt_admittance`` is the summed per-unit shunt around the bus;
-    its real part must be non-negative.
-    """
-
-    id: str
-    kind: str
-    shunt_admittance: complex = 0j
-
-
-@dataclass(frozen=True)
-class Branch:
-    """Two-terminal element between ``from_bus`` and ``to_bus``.
-
-    For transformers, ``admittance`` is the aggregated admittance seen
-    from ``from_bus`` (the primary side) and ``ratio`` the complex turns
-    ratio.  Lines carry ratio exactly 1.
-    """
-
-    from_bus: str
-    to_bus: str
-    kind: str
-    admittance: complex
-    ratio: complex = 1 + 0j
-
-
-@dataclass(frozen=True)
 class OperatingPoint:
     """A paired (voltage, injection) state, per-unit, load buses only."""
 
@@ -97,11 +68,11 @@ class OperatingPoint:
 
 @dataclass(frozen=True)
 class NetworkArrays:
-    """A network's branches and shunts as arrays, in record order.
+    """A network's branches and shunts as arrays, in the order given.
 
     ``from_pos`` and ``to_pos`` hold each branch's endpoint positions in
-    ``buses`` (slack 0); ``admittance`` and ``ratio`` are per branch,
-    ``shunt`` per bus in ``buses`` order.
+    ``bus_ids`` (slack 0); ``admittance`` and ``ratio`` are per branch,
+    ``shunt`` per bus in ``bus_ids`` order.
     """
 
     from_pos: np.ndarray
@@ -111,34 +82,37 @@ class NetworkArrays:
     shunt: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkDescription:
     """Validated, immutable network with deterministic bus ordering.
 
-    Made by `build_network` only, which derives ``index`` and ``arrays``
-    from the other fields (see the module docstring); they take no part
-    in equality.
+    Made by `build_network` only; ``bus_ids`` lists the slack, then the
+    load buses, and ``branch_kinds`` follows the order of ``arrays``.
     """
 
-    buses: tuple[Bus, ...]
-    branches: tuple[Branch, ...]
+    bus_ids: tuple[str, ...]
+    branch_kinds: tuple[str, ...]
     power_base: float
     voltage_base: float
-    index: dict[str, int] = field(compare=False, repr=False)
-    arrays: NetworkArrays = field(compare=False, repr=False)
+    index: dict[str, int] = field(repr=False)
+    arrays: NetworkArrays = field(repr=False)
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if not isinstance(other, NetworkDescription):
+            return NotImplemented
+        return (self.bus_ids == other.bus_ids
+                and self.branch_kinds == other.branch_kinds
+                and self.power_base == other.power_base
+                and self.voltage_base == other.voltage_base
+                and all(np.array_equal(getattr(self.arrays, name), getattr(other.arrays, name))
+                        for name in ("from_pos", "to_pos", "admittance", "ratio", "shunt")))
 
     @property
     def n(self) -> int:
         """Number of load buses (vector length for the whole toolkit)."""
-        return len(self.buses) - 1
-
-    @property
-    def slack(self) -> Bus:
-        return self.buses[0]
-
-    @property
-    def load_buses(self) -> tuple[Bus, ...]:
-        return self.buses[1:]
+        return len(self.bus_ids) - 1
 
     def load_index(self, bus_id: str) -> int:
         """Bus id -> 0-based index into length-n load vectors."""
@@ -147,11 +121,11 @@ class NetworkDescription:
             raise KeyError(f"bus {bus_id!r} is the slack bus, not a load bus")
         return pos - 1
 
-    @cached_property
+    @property
     def is_radial(self) -> bool:
-        """True when the branch multigraph is a tree."""
-        pairs = {frozenset((b.from_bus, b.to_bus)) for b in self.branches}
-        return len(self.branches) == self.n and len(pairs) == len(self.branches)
+        """True when the branch multigraph is a tree: it is connected (as
+        `build_network` requires) and has n branches on n + 1 buses."""
+        return len(self.branch_kinds) == self.n
 
 
 def to_per_unit(power_mw_mvar: complex, power_base: float) -> complex:
@@ -162,97 +136,118 @@ def to_per_unit(power_mw_mvar: complex, power_base: float) -> complex:
 
 
 def build_network(
-    buses,
-    branches,
+    bus_ids,
+    bus_kinds,
+    shunts,
+    from_ids,
+    to_ids,
+    branch_kinds,
+    admittances,
+    ratios,
     power_base: float,
     voltage_base: float,
 ) -> NetworkDescription:
-    """Validate components and fix the canonical bus ordering.
+    """Validate a network given as columns and fix the canonical bus ordering.
 
-    Raises InvalidNetworkError on any model violation: non-finite
-    values, duplicate ids, slack count != 1, dangling branch endpoints,
-    non-positive branch conductance, negative shunt conductance,
-    self-loops, non-unit line ratios, or a disconnected graph.  The
-    buses' and the branches' fields are read into columns and each rule
-    is one mask over them.  The error names the first faulty record and
-    its first broken rule, in the order the rules are listed below,
-    buses before branches: the error a record-by-record check gives.
+    Bus k is ``bus_ids[k]``, ``bus_kinds[k]`` ("slack" or "load") and
+    ``shunts[k]`` (its summed per-unit shunt admittance).  Branch k joins
+    ``from_ids[k]`` to ``to_ids[k]``, is a ``branch_kinds[k]`` ("line"
+    or "transformer") of per-unit ``admittances[k]``, seen from the
+    ``from`` end, and complex turns ratio ``ratios[k]`` (1 for a line).
+    The numeric columns are copied.
+
+    Raises InvalidNetworkError on any model violation: columns of
+    unequal length, non-finite values, duplicate ids, slack count != 1,
+    dangling branch endpoints, non-positive branch conductance, negative
+    shunt conductance, self-loops, non-unit line ratios, or a
+    disconnected graph.  Each rule is one mask over the columns.  The
+    error names the first faulty bus or branch and its first broken
+    rule, in the order the rules are listed below, buses before
+    branches: the error a one-by-one check gives.
     """
+    ids, kinds, shunt = list(bus_ids), list(bus_kinds), np.array(shunts, dtype=complex)
+    from_ids, to_ids, branch_kinds = list(from_ids), list(to_ids), list(branch_kinds)
+    admittance = np.array(admittances, dtype=complex)
+    ratio = np.array(ratios, dtype=complex)
+    _same_length("bus", ids=ids, kinds=kinds, shunts=shunt)
+    _same_length("branch", from_ids=from_ids, to_ids=to_ids, kinds=branch_kinds,
+                 admittances=admittance, ratios=ratio)
     for name, base in (("power", power_base), ("voltage", voltage_base)):
         if not math.isfinite(base):
             raise InvalidNetworkError(f"{name} base must be finite, got {base}")
         if base <= 0:
             raise InvalidNetworkError(f"{name} base must be positive, got {base}")
 
-    buses = tuple(buses)
-    ids = [bus.id for bus in buses]
-    kinds = [bus.kind for bus in buses]
-    shunt = np.array([bus.shunt_admittance for bus in buses], dtype=complex)
+    index = dict(zip(ids, range(len(ids))))
     _raise_first_fault([
         (~np.isfinite(shunt), lambda k: f"bus {ids[k]!r} has non-finite shunt "
-                                        f"admittance {buses[k].shunt_admittance}"),
-        (_repeated(ids), lambda k: f"duplicate bus id {ids[k]!r}"),
+                                        f"admittance {complex(shunt[k])}"),
+        (_repeated(ids) if len(index) < len(ids) else None,
+         lambda k: f"duplicate bus id {ids[k]!r}"),
         (_outside(kinds, (SLACK, LOAD)),
          lambda k: f"bus {ids[k]!r} has unknown kind {kinds[k]!r}"),
         (shunt.real < 0, lambda k: f"bus {ids[k]!r} has negative shunt conductance "
-                                   f"{buses[k].shunt_admittance.real}"),
+                                   f"{float(shunt[k].real)}"),
     ])
     if kinds.count(SLACK) != 1:
         raise InvalidNetworkError(
             f"expected exactly one slack bus, found {kinds.count(SLACK)}"
         )
     slack = kinds.index(SLACK)
-    ordered = (buses[slack], *buses[:slack], *buses[slack + 1:])
-    index = {bus_id: pos for pos, bus_id in enumerate(
-        (ids[slack], *ids[:slack], *ids[slack + 1:]))}
+    if slack:
+        ids = [ids[slack], *ids[:slack], *ids[slack + 1:]]
+        index = dict(zip(ids, range(len(ids))))
+        shunt = np.concatenate([shunt[slack:slack + 1], shunt[:slack], shunt[slack + 1:]])
 
-    branches = tuple(branches)
-    m = len(branches)
-    from_ids = [br.from_bus for br in branches]
-    to_ids = [br.to_bus for br in branches]
-    kinds = [br.kind for br in branches]
-    admittance = np.array([br.admittance for br in branches], dtype=complex)
-    ratio = np.array([br.ratio for br in branches], dtype=complex)
+    m = len(from_ids)
     from_pos = np.fromiter(map(index.get, from_ids, repeat(-1)), dtype=np.intp, count=m)
     to_pos = np.fromiter(map(index.get, to_ids, repeat(-1)), dtype=np.intp, count=m)
 
     def fault(rule: str):
-        return lambda k: f"branch {from_ids[k]!r}->{to_ids[k]!r} {rule.format(branches[k])}"
+        return lambda k: f"branch {from_ids[k]!r}->{to_ids[k]!r} " + rule.format(
+            from_bus=from_ids[k], to_bus=to_ids[k], kind=branch_kinds[k],
+            admittance=complex(admittance[k]), ratio=complex(ratio[k]))
 
     _raise_first_fault([
-        (~np.isfinite(admittance), fault("has non-finite admittance {0.admittance}")),
-        (~np.isfinite(ratio), fault("has non-finite ratio {0.ratio}")),
+        (~np.isfinite(admittance), fault("has non-finite admittance {admittance}")),
+        (~np.isfinite(ratio), fault("has non-finite ratio {ratio}")),
         (np.fromiter(map(operator.eq, from_ids, to_ids), dtype=bool, count=m),
          fault("is a self-loop")),
-        (from_pos < 0, fault("references unknown bus {0.from_bus!r}")),
-        (to_pos < 0, fault("references unknown bus {0.to_bus!r}")),
-        (_outside(kinds, (LINE, TRANSFORMER)), fault("has unknown kind {0.kind!r}")),
-        (admittance.real <= 0, fault("has non-positive conductance {0.admittance.real}")),
+        (from_pos < 0, fault("references unknown bus {from_bus!r}")),
+        (to_pos < 0, fault("references unknown bus {to_bus!r}")),
+        (_outside(branch_kinds, (LINE, TRANSFORMER)), fault("has unknown kind {kind!r}")),
+        (admittance.real <= 0, fault("has non-positive conductance {admittance.real}")),
         (ratio == 0, fault("has zero ratio")),
-        (np.fromiter(map(operator.eq, kinds, repeat(LINE)), dtype=bool, count=m)
+        (np.fromiter(map(operator.eq, branch_kinds, repeat(LINE)), dtype=bool, count=m)
          & (ratio != 1), fault("is a line but its ratio is not 1")),
     ])
 
-    unreachable = _first_unreachable(len(ordered), from_pos, to_pos)
+    unreachable = _first_unreachable(len(ids), from_pos, to_pos)
     if unreachable is not None:
         raise InvalidNetworkError(
-            f"network is disconnected: bus {ordered[unreachable].id!r} is not "
+            f"network is disconnected: bus {ids[unreachable]!r} is not "
             f"reachable from the slack bus"
         )
     return NetworkDescription(
-        buses=ordered,
-        branches=branches,
+        bus_ids=tuple(ids),
+        branch_kinds=tuple(branch_kinds),
         power_base=float(power_base),
         voltage_base=float(voltage_base),
         index=index,
-        arrays=NetworkArrays(
-            from_pos=from_pos,
-            to_pos=to_pos,
-            admittance=admittance,
-            ratio=ratio,
-            shunt=np.concatenate([shunt[slack:slack + 1], shunt[:slack], shunt[slack + 1:]]),
-        ),
+        arrays=NetworkArrays(from_pos=from_pos, to_pos=to_pos, admittance=admittance,
+                             ratio=ratio, shunt=shunt),
     )
+
+
+def _same_length(what: str, **columns) -> None:
+    """Raise InvalidNetworkError unless the ``what`` columns (lists and
+    numpy arrays) are one-dimensional and of one length."""
+    shapes = {name: column.shape if isinstance(column, np.ndarray) else (len(column),)
+              for name, column in columns.items()}
+    if len(set(shapes.values())) > 1 or any(len(shape) != 1 for shape in shapes.values()):
+        raise InvalidNetworkError(
+            f"{what} columns must be one-dimensional and of one length, got shapes "
+            + ", ".join(f"{name} {shape}" for name, shape in shapes.items()))
 
 
 def _raise_first_fault(rules) -> None:
@@ -425,7 +420,6 @@ def parse_network(text: str) -> NetworkDescription:
         *g_rules,
         *b_rules,
     ])
-    buses = list(map(Bus, ids, kinds, _complex(shunt_g, shunt_b).tolist()))
 
     records = _records(doc, "branches", "network document")
     from_ids, from_rules = _bus_ids(records, "from", "branch 'from'")
@@ -439,36 +433,30 @@ def parse_network(text: str) -> NetworkDescription:
     ratio_re, re_rules = _numbers(records, "ratio_re", branch, default=1.0)
     ratio_im, im_rules = _numbers(records, "ratio_im", branch, default=0.0)
     _raise_first_fault(from_rules + to_rules + g_rules + b_rules + re_rules + im_rules)
-    branches = list(map(Branch, from_ids, to_ids, [rec.get("kind") for rec in records],
-                        _complex(g, b).tolist(), _complex(ratio_re, ratio_im).tolist()))
 
-    return build_network(buses, branches, float(power_base[0]), float(voltage_base[0]))
+    return build_network(ids, kinds, _complex(shunt_g, shunt_b),
+                         from_ids, to_ids, [rec.get("kind") for rec in records],
+                         _complex(g, b), _complex(ratio_re, ratio_im),
+                         float(power_base[0]), float(voltage_base[0]))
 
 
 def serialize_network(net: NetworkDescription) -> str:
     """Render the canonical document form; parse() of it reproduces ``net``."""
+    ids, arrays = net.bus_ids, net.arrays
     doc = {
         "bases": {"power_mva": net.power_base, "voltage_kv": net.voltage_base},
         "buses": [
-            {
-                "id": bus.id,
-                "kind": bus.kind,
-                "shunt_g": bus.shunt_admittance.real,
-                "shunt_b": bus.shunt_admittance.imag,
-            }
-            for bus in net.buses
+            {"id": bus_id, "kind": LOAD if pos else SLACK, "shunt_g": g, "shunt_b": b}
+            for pos, (bus_id, g, b) in enumerate(
+                zip(ids, arrays.shunt.real.tolist(), arrays.shunt.imag.tolist()))
         ],
         "branches": [
-            {
-                "from": br.from_bus,
-                "to": br.to_bus,
-                "kind": br.kind,
-                "g": br.admittance.real,
-                "b": br.admittance.imag,
-                "ratio_re": br.ratio.real,
-                "ratio_im": br.ratio.imag,
-            }
-            for br in net.branches
+            {"from": ids[i], "to": ids[j], "kind": kind, "g": g, "b": b,
+             "ratio_re": ratio_re, "ratio_im": ratio_im}
+            for i, j, kind, g, b, ratio_re, ratio_im in zip(
+                arrays.from_pos.tolist(), arrays.to_pos.tolist(), net.branch_kinds,
+                arrays.admittance.real.tolist(), arrays.admittance.imag.tolist(),
+                arrays.ratio.real.tolist(), arrays.ratio.imag.tolist())
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -516,7 +504,7 @@ def _injections(net: NetworkDescription, doc: dict) -> np.ndarray:
 
 
 def _positions(net: NetworkDescription, ids: list) -> np.ndarray:
-    """Each id's position in ``net.buses`` (slack 0), -1 for an unknown id."""
+    """Each id's position in ``net.bus_ids`` (slack 0), -1 for an unknown id."""
     return np.fromiter(map(net.index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
 
@@ -569,8 +557,8 @@ def parse_operating_point(net: NetworkDescription, text: str) -> OperatingPoint:
     listed = np.zeros(net.n, dtype=bool)
     listed[pos - 1] = True
     if not listed.all():
-        bus = net.load_buses[int(np.argmin(listed))]
-        raise InvalidNetworkError(f"missing voltage for bus {bus.id!r}")
+        bus_id = net.bus_ids[1 + int(np.argmin(listed))]
+        raise InvalidNetworkError(f"missing voltage for bus {bus_id!r}")
     v = np.empty(net.n, dtype=complex)
     v[pos - 1] = _complex(v_re, v_im)
 

@@ -99,10 +99,10 @@ def _voltages(v, net) -> list[dict]:
     """The ``voltages`` entries of a solve document for load voltages ``v``."""
     return [
         {
-            "bus": bus.id,
+            "bus": bus_id,
             "re": float(v[i].real),
             "im": float(v[i].imag),
             "magnitude": float(abs(v[i])),
         }
-        for i, bus in enumerate(net.load_buses)
+        for i, bus_id in enumerate(net.bus_ids[1:])
     ]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flowcert as fc
+from netrand import Branch, Bus, from_records
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FEEDER_DIR = REPO_ROOT / "data" / "feeder13"
@@ -36,6 +37,6 @@ def feeder_op(feeder_net) -> fc.OperatingPoint:
 
 @pytest.fixture
 def two_bus_net() -> fc.NetworkDescription:
-    buses = [fc.Bus("0", "slack"), fc.Bus("1", "load")]
-    branches = [fc.Branch("0", "1", "line", 1 - 10j)]
-    return fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
+    buses = [Bus("0", "slack"), Bus("1", "load")]
+    branches = [Branch("0", "1", "line", 1 - 10j)]
+    return from_records(buses, branches, power_base=1.0, voltage_base=1.0)

@@ -16,7 +16,10 @@ from flowcert.fixed_point import iterate_once, solve_fixed_point
 from flowcert.newton import mismatch_jacobian, power_mismatch, solve_newton
 from flowcert.sparse_lu import factorize, solve
 from netrand import (
+    Branch,
+    Bus,
     chain_network,
+    from_records,
     random_injections,
     random_network,
     sample_in_ball,
@@ -196,9 +199,9 @@ def test_criterion_6_scalar_closed_form():
         s_val = rng.uniform(-0.24, 0.24) * y
         if abs(s_val) / y >= 0.25:  # state-free condition on the unit-w scalar case
             continue
-        net = fc.build_network(
-            [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-            [fc.Branch("0", "1", "line", complex(y))],
+        net = from_records(
+            [Bus("0", "slack"), Bus("1", "load")],
+            [Branch("0", "1", "line", complex(y))],
             1.0,
             1.0,
         )

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import flowcert as fc
-from netrand import random_network
+from netrand import Branch, Bus, from_records, random_network, records
 
 rng_positivity = np.random.default_rng(101)
 
@@ -27,7 +27,8 @@ def reference_full_admittance(net):
         cols.append(j)
         vals.append(value)
 
-    for br in net.branches:
+    buses, branches = records(net)
+    for br in branches:
         i = net.index[br.from_bus]
         j = net.index[br.to_bus]
         y = br.admittance
@@ -36,7 +37,7 @@ def reference_full_admittance(net):
         put(i, j, np.divide(-y, k))
         put(j, i, np.divide(-y, np.conj(k)))
         put(j, j, np.divide(y, np.square(np.abs(k))))
-    for bus in net.buses:
+    for bus in buses:
         if bus.shunt_admittance != 0:
             i = net.index[bus.id]
             put(i, i, bus.shunt_admittance)
@@ -95,15 +96,15 @@ def stamped_networks(draw):
     for a, b in pairs:
         y, k = draw(admittances), draw(ratios)
         if k == 1 and draw(st.booleans()):
-            branches.append(fc.Branch(str(a), str(b), "line", y))
+            branches.append(Branch(str(a), str(b), "line", y))
         elif draw(st.booleans()):
-            branches.append(fc.Branch(str(a), str(b), "transformer", y, k))
+            branches.append(Branch(str(a), str(b), "transformer", y, k))
         else:  # the same transformer, declared from its other side
-            branches.append(fc.Branch(str(b), str(a), "transformer", y / abs(k) ** 2, 1 / k))
+            branches.append(Branch(str(b), str(a), "transformer", y / abs(k) ** 2, 1 / k))
     branches += draw(st.lists(st.sampled_from(branches), max_size=2))  # exact copies
-    buses = [fc.Bus("0", "slack", draw(shunts))]
-    buses += [fc.Bus(str(i), "load", draw(shunts)) for i in range(1, n + 1)]
-    return fc.build_network(buses, draw(st.permutations(branches)), 1.0, 1.0)
+    buses = [Bus("0", "slack", draw(shunts))]
+    buses += [Bus(str(i), "load", draw(shunts)) for i in range(1, n + 1)]
+    return from_records(buses, draw(st.permutations(branches)), 1.0, 1.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -131,9 +132,9 @@ def test_single_line_blocks(two_bus_net):
 def test_transformer_block():
     yt = 2 - 6j
     ratio = 1.05 * np.exp(0.02j)
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "transformer", yt, ratio)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "transformer", yt, ratio)],
         1.0,
         1.0,
     )
@@ -150,9 +151,9 @@ def test_transformer_block():
 def test_shunt_adds_to_diagonal():
     y = 3 - 9j
     shunt = 0.02 + 0.4j
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load", shunt)],
-        [fc.Branch("0", "1", "line", y)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load", shunt)],
+        [Branch("0", "1", "line", y)],
         1.0,
         1.0,
     )
@@ -162,9 +163,9 @@ def test_shunt_adds_to_diagonal():
 
 def test_parallel_branches_are_summed():
     y1, y2 = 1 - 3j, 2 - 5j
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "line", y1), fc.Branch("0", "1", "line", y2)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "line", y1), Branch("0", "1", "line", y2)],
         1.0,
         1.0,
     )
@@ -188,16 +189,18 @@ def test_stamping_is_order_independent():
     rng = np.random.default_rng(4)
     net = random_network(rng, 8)
     # the same network with a parallel branch beside each of three branches
-    parallel = fc.build_network(
-        net.buses,
-        [*net.branches,
-         *(fc.Branch(br.from_bus, br.to_bus, br.kind, 1.37 * br.admittance, br.ratio)
-           for br in net.branches[:3])],
+    buses, branches = records(net)
+    parallel = from_records(
+        buses,
+        [*branches,
+         *(Branch(br.from_bus, br.to_bus, br.kind, 1.37 * br.admittance, br.ratio)
+           for br in branches[:3])],
         net.power_base, net.voltage_base,
     )
     for network in (net, parallel):
-        shuffled = fc.build_network(
-            network.buses, list(reversed(network.branches)),
+        buses, branches = records(network)
+        shuffled = from_records(
+            buses, list(reversed(branches)),
             network.power_base, network.voltage_base,
         )
         assert bits(fc.full_admittance(network)) == bits(fc.full_admittance(shuffled))
@@ -208,15 +211,15 @@ def test_transformer_reciprocity():
     # stamp the identical block: admittance y|K|^-2 and ratio K^-1.
     yt = 1.5 - 4j
     ratio = 0.97 * np.exp(-0.03j)
-    primary = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "transformer", yt, ratio)],
+    primary = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "transformer", yt, ratio)],
         1.0,
         1.0,
     )
-    secondary = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("1", "0", "transformer", yt / abs(ratio) ** 2, 1 / ratio)],
+    secondary = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("1", "0", "transformer", yt / abs(ratio) ** 2, 1 / ratio)],
         1.0,
         1.0,
     )

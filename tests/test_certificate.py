@@ -20,7 +20,11 @@ from flowcert.certificate import (
     xi,
 )
 from netrand import (
+    Branch,
+    Bus,
     chain_network,
+    from_records,
+    records,
     random_injections,
     random_network,
     random_tree,
@@ -32,9 +36,9 @@ from netrand import (
 
 
 def test_single_bus_kernel():
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "line", 2 + 0j)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "line", 2 + 0j)],
         1.0,
         1.0,
     )
@@ -75,12 +79,12 @@ def test_abs_kernel_column_blocks_equal_single_column_solves_bitwise(monkeypatch
 
 
 def _with_branches(net, extra):
-    return fc.build_network(list(net.buses), list(net.branches) + extra,
-                            power_base=1.0, voltage_base=1.0)
+    buses, branches = records(net)
+    return from_records(buses, branches + extra, power_base=1.0, voltage_base=1.0)
 
 
 def _line(a, b, z=0.02 + 0.05j):
-    return fc.Branch(str(a), str(b), "line", 1.0 / z)
+    return Branch(str(a), str(b), "line", 1.0 / z)
 
 
 def _count_column_solves(monkeypatch):
@@ -226,13 +230,14 @@ def test_tree_kernel_matches_dense_with_parallel_branches(seed, n, doubled):
     rng = np.random.default_rng(seed)
     net = random_tree(rng, n)
     extra = []
-    for index in rng.integers(0, len(net.branches), size=doubled):
-        br = net.branches[int(index)]
+    branches = records(net)[1]
+    for index in rng.integers(0, len(branches), size=doubled):
+        br = branches[int(index)]
         ratio = rng.uniform(0.9, 1.1) * np.exp(1j * rng.uniform(-0.05, 0.05))
-        extra.append(fc.Branch(br.from_bus, br.to_bus, "transformer",
-                               1.0 / complex(rng.uniform(0.01, 0.08),
-                                             rng.uniform(0.02, 0.2)),
-                               complex(ratio)))
+        extra.append(Branch(br.from_bus, br.to_bus, "transformer",
+                            1.0 / complex(rng.uniform(0.01, 0.08),
+                                          rng.uniform(0.02, 0.2)),
+                            complex(ratio)))
     tree, dense = _tree_and_dense(_with_branches(net, extra))
     _assert_kernels_match(tree, dense, _loads(rng, n))
 
@@ -241,8 +246,8 @@ def _strong_shunt_tree(rng, n):
     """Random tree with shunt b up to 3 p.u. either way and half its
     branches transformers: an edge can then have
     |K_jp| |K_pj| > |K_jj| |K_pp|."""
-    buses = [fc.Bus("0", "slack")] + [
-        fc.Bus(str(i), "load", complex(rng.uniform(0.0, 0.05), rng.uniform(-3.0, 3.0)))
+    buses = [Bus("0", "slack")] + [
+        Bus(str(i), "load", complex(rng.uniform(0.0, 0.05), rng.uniform(-3.0, 3.0)))
         for i in range(1, n + 1)
     ]
     branches = []
@@ -250,9 +255,9 @@ def _strong_shunt_tree(rng, n):
         y = 1.0 / complex(rng.uniform(0.01, 0.08), rng.uniform(0.02, 0.2))
         ratio = rng.uniform(0.9, 1.1) * np.exp(1j * rng.uniform(-0.05, 0.05))
         kind = "transformer" if rng.random() < 0.5 else "line"
-        branches.append(fc.Branch(str(int(rng.integers(0, i))), str(i), kind, y,
-                                  complex(ratio) if kind == "transformer" else 1 + 0j))
-    return fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
+        branches.append(Branch(str(int(rng.integers(0, i))), str(i), kind, y,
+                               complex(ratio) if kind == "transformer" else 1 + 0j))
+    return from_records(buses, branches, power_base=1.0, voltage_base=1.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -274,7 +279,7 @@ def test_column_maxima_skip_a_childs_own_offer():
     assert any(
         k[i, j] * k[j, i] > k[i, i] * k[j, j]
         for i, j in ((net.index[br.from_bus] - 1, net.index[br.to_bus] - 1)
-                     for br in net.branches if br.from_bus != "0")
+                     for br in records(net)[1] if br.from_bus != "0")
     )
     _assert_kernels_match(tree, dense, _loads(rng, net.n))
 
@@ -352,8 +357,8 @@ def test_heavy_tip_row_sums_never_fall_below_the_dense_rows(seed):
     # branch, where an outside sum taken as total minus subtree sum
     # would cancel.
     rng = np.random.default_rng(seed)
-    buses = [fc.Bus("0", "slack")] + [
-        fc.Bus(str(i), "load", complex(rng.uniform(0.0, 0.05), rng.uniform(-3.0, 3.0)))
+    buses = [Bus("0", "slack")] + [
+        Bus(str(i), "load", complex(rng.uniform(0.0, 0.05), rng.uniform(-3.0, 3.0)))
         for i in range(1, 51)
     ]
 
@@ -362,7 +367,7 @@ def test_heavy_tip_row_sums_never_fall_below_the_dense_rows(seed):
 
     branches = [line(0, 1)] + [line(i - 1, i) for i in range(2, 42)]
     branches += [line(1, i) for i in range(42, 51)]
-    net = fc.build_network(buses, branches, power_base=1.0, voltage_base=1.0)
+    net = from_records(buses, branches, power_base=1.0, voltage_base=1.0)
     tree, dense = _tree_and_dense(net)
     t = np.full(net.n, 1e-9)
     t[net.index["41"] - 1] = 1.0
@@ -391,7 +396,7 @@ def test_forest_test_reads_the_factors():
     # one that doubles a tree edge, or closes a loop through the slack,
     # does not.
     base = random_tree(np.random.default_rng(40), 30)
-    parent = {br.to_bus: br.from_bus for br in base.branches}
+    parent = {br.to_bus: br.from_bus for br in records(base)[1]}
     bus = next(b for b, p in parent.items() if p != "0" and parent[p] != "0")
     cases = {
         "dense": [_line(bus, parent[parent[bus]])],
@@ -729,9 +734,9 @@ def test_certify_rejects_partial_operating_point(feeder_grid, feeder_op,
 def test_state_free_verdict_is_exact_at_the_threshold():
     # On a unit line with the slack at 1 p.u., |K| = [[1]] and xi(s) = |s|
     # exactly: each x below reaches the verdict bit for bit.
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "line", 1 + 0j)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "line", 1 + 0j)],
         1.0,
         1.0,
     )

@@ -17,6 +17,9 @@ from flowcert.fixed_point import (
     solve_fixed_point,
 )
 from netrand import (
+    Branch,
+    Bus,
+    from_records,
     random_injections,
     random_network,
     random_tree,
@@ -26,9 +29,9 @@ from netrand import (
 
 
 def scalar_grid(y=1 - 5j):
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "line", y)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "line", y)],
         1.0,
         1.0,
     )

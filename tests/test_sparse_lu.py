@@ -5,7 +5,7 @@ from scipy import sparse
 import flowcert as fc
 from flowcert.errors import SingularMatrixError
 from flowcert.sparse_lu import factorize, solve
-from netrand import chain_network, random_tree, star_network
+from netrand import chain_network, random_network, random_tree, star_network
 
 
 def random_sparse_invertible(rng, n, density=0.15):
@@ -142,6 +142,45 @@ def test_trees_factor_with_zero_fill():
         b = rng.normal(size=net.n) + 1j * rng.normal(size=net.n)
         x = np.linalg.solve(sys.y_ll.toarray(), b)
         assert np.max(np.abs(solve(f, b) - x)) < 1e-9 * max(1.0, np.max(np.abs(x)))
+
+
+def symbolic_fill(a, order) -> int:
+    """Entries that eliminating the symmetric pattern of ``a`` in
+    ``order`` adds to L and to U together: each eliminated bus joins its
+    remaining neighbours pairwise, and each new pair is one entry of L
+    and one of U."""
+    adjacent = [set() for _ in range(a.shape[0])]
+    coo = a.tocoo()
+    for i, j in zip(coo.row.tolist(), coo.col.tolist()):
+        if i != j:
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+    eliminated, added = set(), 0
+    for v in order:
+        around = sorted(adjacent[v] - eliminated)
+        for k, x in enumerate(around):
+            for y in around[k + 1:]:
+                if y not in adjacent[x]:
+                    adjacent[x].add(y)
+                    adjacent[y].add(x)
+                    added += 1
+        eliminated.add(v)
+    return 2 * added
+
+
+def test_fill_in_counts_the_factors_entries_not_superlu_storage():
+    # SuperLU stores each supernode as a dense block, so its ``nnz``
+    # also counts zeros: on about a fifth of these meshed networks
+    # ``lu.nnz - n - nnz(A)`` overstates the fill.
+    rng = np.random.default_rng(7)
+    padded = 0
+    for _ in range(60):
+        y_ll = fc.build_admittance(random_network(rng, int(rng.integers(3, 40)))).y_ll
+        f = factorize(y_ll)
+        assert np.array_equal(f.lu.perm_r, f.lu.perm_c)
+        assert f.fill_in_count == symbolic_fill(y_ll, np.argsort(f.lu.perm_c).tolist())
+        padded += f.lu.nnz - f.n - y_ll.count_nonzero() != f.fill_in_count
+    assert padded > 0
 
 
 def test_indefinite_hermitian_part_counter_example():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import flowcert as fc
 from flowcert.errors import DegenerateNetworkError
 from flowcert.zero_load import ZeroLoadProfile, compute_w, u_min
+from netrand import Branch, Bus, from_records
 
 
 def test_lines_only_profile_is_unity(feeder_grid):
@@ -16,9 +17,9 @@ def test_lines_only_profile_is_unity(feeder_grid):
 def test_transformer_profile_matches_dense_oracle():
     yt = 2 - 5j
     ratio = 1.04 * np.exp(0.03j)
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-        [fc.Branch("0", "1", "transformer", yt, ratio)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load")],
+        [Branch("0", "1", "transformer", yt, ratio)],
         1.0,
         1.0,
     )
@@ -30,9 +31,9 @@ def test_transformer_profile_matches_dense_oracle():
 
 
 def test_capacitive_shunt_raises_voltage():
-    net = fc.build_network(
-        [fc.Bus("0", "slack"), fc.Bus("1", "load", 0.0 + 0.5j)],
-        [fc.Branch("0", "1", "line", 1 - 4j)],
+    net = from_records(
+        [Bus("0", "slack"), Bus("1", "load", 0.0 + 0.5j)],
+        [Branch("0", "1", "line", 1 - 4j)],
         1.0,
         1.0,
     )
@@ -51,13 +52,13 @@ def test_profile_solves_its_defining_system(feeder_grid):
 
 def test_unit_ratio_transformers_no_shunts_give_unity():
     rng = np.random.default_rng(21)
-    buses = [fc.Bus("0", "slack")] + [fc.Bus(str(i), "load") for i in range(1, 7)]
+    buses = [Bus("0", "slack")] + [Bus(str(i), "load") for i in range(1, 7)]
     branches = []
     for i in range(1, 7):
         y = 1 / complex(rng.uniform(0.01, 0.1), rng.uniform(0.02, 0.2))
         kind = "transformer" if i % 2 else "line"
-        branches.append(fc.Branch(str(i - 1), str(i), kind, y, 1 + 0j))
-    net = fc.build_network(buses, branches, 1.0, 1.0)
+        branches.append(Branch(str(i - 1), str(i), kind, y, 1 + 0j))
+    net = from_records(buses, branches, 1.0, 1.0)
     grid = fc.prepare_grid(net)
     assert np.max(np.abs(grid.w.w - 1)) < 1e-10
 
@@ -90,9 +91,9 @@ def test_u_min_invariant_under_global_phase(phase):
 def test_degenerate_profile_rejected():
     sys = fc.AdmittanceSystem(
         y_ll=fc.full_admittance(
-            fc.build_network(
-                [fc.Bus("0", "slack"), fc.Bus("1", "load")],
-                [fc.Branch("0", "1", "line", 1 - 1j)],
+            from_records(
+                [Bus("0", "slack"), Bus("1", "load")],
+                [Branch("0", "1", "line", 1 - 1j)],
                 1.0,
                 1.0,
             )
