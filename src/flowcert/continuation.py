@@ -13,8 +13,9 @@ by bisection.
 Optionally the plain fixed-point iteration (uncertified, from the
 zero-load profile) is run on the grid points, iterated together in
 blocks (`fixed_point.converges`), to record where it empirically
-converges.  When the grid fills more than one block, the blocks run on
-every CPU the process may run on (``taskset`` limits them); the outputs
+converges.  When the grid fills more than one block, the ray's points
+are dealt out in turn to one block loop per CPU the process may run on
+(``taskset`` limits them), each making its own injections; the outputs
 are the same on one CPU or many.
 """
 
@@ -139,8 +140,7 @@ def sweep(
 
     fp_converged = None
     if run_fixed_point:
-        fp_converged = converges(grid.factors, grid.w,
-                                 (s_at(kappa) for kappa in kappa_grid),
+        fp_converged = converges(grid.factors, grid.w, direction, kappa_grid / base,
                                  tol=fp_tol, max_iter=fp_max_iter)
 
     def boundary(limit: float) -> float | None:

@@ -14,15 +14,15 @@ injections together as the columns of one block, each from its own
 start, and applies G to the whole block with one `iterate_once` call,
 that is one multi-right-hand-side solve, per iteration.  Pending
 injections refill the block as columns retire, so it never holds more
-than max(1, BLOCK_ENTRIES // n) columns.  `converges` runs the loop on
-the calling thread and, while at least one full block of injections is
-pending beyond the blocks handed out, one more copy in a worker thread,
-up to the number of CPUs the process may run on; every copy holds its
-own block and refills it from one shared source of numbered injections,
-read under a lock.  The solves and the block arithmetic release the
-interpreter lock, so the copies overlap.  `solve_fixed_point`, a set of
-injections that fits one block, and a process on one CPU start no
-thread.  A column retires
+than max(1, BLOCK_ENTRIES // n) columns.  `converges` iterates the
+points c * d of a ray in L such loops, one for every CPU the process may
+run on but no more than the points fill full blocks: loop t takes the
+points t, t + L, t + 2L, ... and makes each injection only when a column
+is free for it, so no two loops share anything but the factors they
+read.  The calling thread runs loop 0 and a thread pool the others; the
+solves and the block arithmetic release the interpreter lock, so the
+loops overlap.  `solve_fixed_point`, a ray that fills fewer than two
+blocks, and a process on one CPU start no thread.  A column retires
 
 * converged, once its step falls below ``tol`` and the probe G(v) of
   the converged iterate, taken in the block's next iteration, passes the
@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,16 +114,9 @@ def iterate_once(
     return x
 
 
-def _block(n: int, name: str, cols) -> np.ndarray:
-    """The (n,) vectors ``cols`` as the columns of one complex (n, k) block.
-
-    Each column's shape is checked on its own, so a wrong one gets the
-    same message whatever columns share its refill.
-    """
-    for col in cols:
-        if np.shape(col) != (n,):
-            raise ValueError(f"{name} has shape {np.shape(col)}, expected ({n},)")
-    return np.array(cols, dtype=complex).T
+def _check_shape(n: int, name: str, x) -> None:
+    if np.shape(x) != (n,):
+        raise ValueError(f"{name} has shape {np.shape(x)}, expected ({n},)")
 
 
 class _Column:
@@ -136,50 +129,6 @@ class _Column:
         self.ball = ball
         self.steps: list[float] = []
         self.probing = False  # its last step fell below tol: its next update is the probe
-
-
-class _Stopped(Exception):
-    """Raised in a block loop by `_Pending.take` once another loop has failed."""
-
-
-class _Pending:
-    """The numbered (s, ball) pairs that no block loop has taken yet.
-
-    Every read goes through one lock, because the pairs may come from a
-    generator, which two threads may not advance at once.  Once a read
-    comes back short the source is drained, and later takes skip the lock.
-    """
-
-    def __init__(self, columns):
-        self._columns = enumerate(columns)
-        self._lock = threading.Lock()
-        self._drained = False
-        self.error: BaseException | None = None  # the first failure of any loop
-
-    def take(self, k: int) -> list:
-        """Up to ``k`` pending pairs as (index, (s, ball)); raises _Stopped
-        once a loop has failed."""
-        if self.error is not None:
-            raise _Stopped
-        if self._drained:
-            return []
-        with self._lock:
-            taken = list(itertools.islice(self._columns, k))
-            self._drained = len(taken) < k
-        return taken
-
-    def ahead(self, k: int) -> int:
-        """How many pairs, up to ``k``, are pending; reads them ahead to know."""
-        with self._lock:
-            read = list(itertools.islice(self._columns, k))
-            self._columns = itertools.chain(read, self._columns)
-        return len(read)
-
-    def fail(self, error: BaseException) -> None:
-        """Record a loop's failure; the other loops stop at their next take."""
-        with self._lock:
-            if self.error is None:
-                self.error = error
 
 
 def _check_limits(tol: float, max_iter: int) -> None:
@@ -205,25 +154,24 @@ def _cpu_count() -> int:
 def _iterate_block(factors, w, pending, tol, max_iter):
     """The iteration loop: yield (index, outcome) for each column as it retires.
 
-    ``pending`` is the `_Pending` source of (s, ball) pairs: an (n,)
-    injection, and the certificate ball whose center starts the column,
-    or None to start from the zero-load profile.  ``index`` counts the
-    pairs from 0.  The outcome is a SolveResult, or the ConvergenceError
-    or VoltageCollapseError that ends the column.  ``tol`` and
-    ``max_iter`` are checked by the callers (`_check_limits`).
+    ``pending`` is an iterator of (index, (s, ball)) pairs, read only
+    when a column is free: an (n,) injection, and the certificate ball
+    whose center starts the column, or None to start from the zero-load
+    profile.  The outcome is a SolveResult, or the ConvergenceError or
+    VoltageCollapseError that ends the column.  The shapes, ``tol`` and
+    ``max_iter`` are checked by the callers.
     """
-    n = w.w.shape[0]
     width = _width(w)
     scale = w.w[:, None]
     block: list[_Column] = []
     s = v = None  # (n, len(block)): the block's injections and iterates
     while True:
-        fresh = pending.take(width - len(block))
+        fresh = list(itertools.islice(pending, width - len(block)))
         if fresh:
             new = [_Column(index, ball) for index, (_, ball) in fresh]
-            new_s = _block(n, "injection", [x for _, (x, _) in fresh])
-            new_v = _block(n, "ball center",
-                           [w.w if col.ball is None else col.ball.center for col in new])
+            new_s = np.array([x for _, (x, _) in fresh], dtype=complex).T
+            new_v = np.array([w.w if col.ball is None else col.ball.center for col in new],
+                             dtype=complex).T
             if block:
                 s, v = np.hstack([s, new_s]), np.hstack([v, new_v])
             else:
@@ -303,7 +251,11 @@ def solve_fixed_point(
     degenerates.
     """
     _check_limits(tol, max_iter)
-    ((_, outcome),) = _iterate_block(factors, w, _Pending([(s, ball)]), tol, max_iter)
+    n = w.w.shape[0]
+    _check_shape(n, "injection", s)
+    if ball is not None:
+        _check_shape(n, "ball center", ball.center)
+    ((_, outcome),) = _iterate_block(factors, w, iter([(0, (s, ball))]), tol, max_iter)
     if not isinstance(outcome, SolveResult):
         raise outcome
     return outcome
@@ -312,50 +264,39 @@ def solve_fixed_point(
 def converges(
     factors: LuFactors,
     w: ZeroLoadProfile,
-    injections,
+    direction: np.ndarray,
+    scales,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> np.ndarray:
-    """Whether `solve_fixed_point` without a ball returns for each of the
-    (n,) ``injections``, as a boolean array in their order.
+    """Whether `solve_fixed_point` without a ball returns for each point
+    c * ``direction`` of the ray, c in ``scales``, as a boolean array in
+    their order.
 
-    The injections are iterated together, in blocks of max(1,
-    BLOCK_ENTRIES // n) columns.  The calling thread runs one block loop;
-    while at least one full block of injections is pending beyond those
-    handed out, one more loop starts in a worker thread, up to the number
-    of CPUs the process may run on (`os.sched_getaffinity`, which
-    ``taskset`` sets).  To count them, up to that many blocks of
-    injections are read ahead; every other injection is read only when a
-    column of some block is free for it.  The flags do not depend on the
-    number of loops.  When any loop raises, the others stop at their next
-    iteration, every worker is joined, and the first exception is raised
-    here; no worker outlives the call.
+    The points are iterated together, in blocks of width = max(1,
+    BLOCK_ENTRIES // n) columns, by L = max(1, min(CPUs, len(scales) //
+    width)) block loops, CPUs being those the process may run on
+    (`os.sched_getaffinity`, which ``taskset`` sets).  Loop t takes the
+    points t, t + L, t + 2L, ...; the calling thread runs loop 0 and a
+    thread pool the others.  The flags do not depend on L.  Every
+    argument is checked before any loop starts; an exception in any loop
+    is raised here once all loops have ended, so no worker outlives the
+    call.
     """
     _check_limits(tol, max_iter)
-    pending = _Pending((s, None) for s in injections)
-    width = _width(w)
-    loops = max(1, pending.ahead(_cpu_count() * width) // width)
-    flags = {}
+    _check_shape(w.w.shape[0], "direction", direction)
+    loops = max(1, min(_cpu_count(), len(scales) // _width(w)))
+    flags = np.empty(len(scales), dtype=bool)
 
-    def run():
-        try:
-            for j, outcome in _iterate_block(factors, w, pending, tol, max_iter):
-                flags[j] = isinstance(outcome, SolveResult)
-        except _Stopped:
-            pass
-        except BaseException as exc:  # re-raised in the caller below
-            pending.fail(exc)
+    def run(t: int) -> None:
+        points = ((j, (scales[j] * direction, None)) for j in range(t, len(scales), loops))
+        for j, outcome in _iterate_block(factors, w, points, tol, max_iter):
+            flags[j] = isinstance(outcome, SolveResult)
 
-    workers = []
-    try:
-        for _ in range(loops - 1):
-            worker = threading.Thread(target=run, name="flowcert-block-loop")
-            worker.start()
-            workers.append(worker)
-        run()
-    finally:
+    # the caller runs loop 0, so at most loops - 1 of the pool's threads start
+    with ThreadPoolExecutor(loops, thread_name_prefix="flowcert-block-loop") as pool:
+        workers = [pool.submit(run, t) for t in range(1, loops)]
+        run(0)
         for worker in workers:
-            worker.join()
-    if pending.error is not None:
-        raise pending.error
-    return np.array([flags[j] for j in sorted(flags)], dtype=bool)
+            worker.result()
+    return flags

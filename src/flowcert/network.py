@@ -156,29 +156,38 @@ def build_network(
     ``from`` end, and complex turns ratio ``ratios[k]`` (1 for a line).
     The numeric columns are copied.
 
-    Raises InvalidNetworkError on any model violation: columns of
-    unequal length, non-finite values, duplicate ids, slack count != 1,
-    dangling branch endpoints, non-positive branch conductance, negative
-    shunt conductance, self-loops, non-unit line ratios, or a
-    disconnected graph.  Each rule is one mask over the columns.  The
-    error names the first faulty bus or branch and its first broken
-    rule, in the order the rules are listed below, buses before
-    branches: the error a one-by-one check gives.
+    Raises InvalidNetworkError on any model violation: a numeric column
+    or base that holds no number, an id column that cannot be hashed
+    (these name the column), columns of unequal length, non-finite
+    values, duplicate ids, slack count != 1, dangling branch endpoints,
+    non-positive branch conductance, negative shunt conductance,
+    self-loops, non-unit line ratios, or a disconnected graph.  Each
+    rule is one mask over the columns.  The error names the first faulty
+    bus or branch and its first broken rule, in the order the rules are
+    listed below, buses before branches: the error a one-by-one check
+    gives.
     """
-    ids, kinds, shunt = list(bus_ids), list(bus_kinds), np.array(shunts, dtype=complex)
+    ids, kinds, shunt = list(bus_ids), list(bus_kinds), _complex_column("shunts", shunts)
     from_ids, to_ids, branch_kinds = list(from_ids), list(to_ids), list(branch_kinds)
-    admittance = np.array(admittances, dtype=complex)
-    ratio = np.array(ratios, dtype=complex)
+    admittance = _complex_column("admittances", admittances)
+    ratio = _complex_column("ratios", ratios)
     _same_length("bus", ids=ids, kinds=kinds, shunts=shunt)
     _same_length("branch", from_ids=from_ids, to_ids=to_ids, kinds=branch_kinds,
                  admittances=admittance, ratios=ratio)
     for name, base in (("power", power_base), ("voltage", voltage_base)):
-        if not math.isfinite(base):
+        try:
+            finite = math.isfinite(base)
+        except TypeError:
+            raise InvalidNetworkError(f"{name} base must be a real number, got {base!r}") from None
+        if not finite:
             raise InvalidNetworkError(f"{name} base must be finite, got {base}")
         if base <= 0:
             raise InvalidNetworkError(f"{name} base must be positive, got {base}")
 
-    index = dict(zip(ids, range(len(ids))))
+    try:
+        index = dict(zip(ids, range(len(ids))))
+    except TypeError as exc:
+        raise InvalidNetworkError(f"bus_ids must be hashable: {exc}") from None
     _raise_first_fault([
         (~np.isfinite(shunt), lambda k: f"bus {ids[k]!r} has non-finite shunt "
                                         f"admittance {complex(shunt[k])}"),
@@ -200,8 +209,8 @@ def build_network(
         shunt = np.concatenate([shunt[slack:slack + 1], shunt[:slack], shunt[slack + 1:]])
 
     m = len(from_ids)
-    from_pos = np.fromiter(map(index.get, from_ids, repeat(-1)), dtype=np.intp, count=m)
-    to_pos = np.fromiter(map(index.get, to_ids, repeat(-1)), dtype=np.intp, count=m)
+    from_pos = _positions(index, from_ids, "from_ids")
+    to_pos = _positions(index, to_ids, "to_ids")
 
     def fault(rule: str):
         return lambda k: f"branch {from_ids[k]!r}->{to_ids[k]!r} " + rule.format(
@@ -237,6 +246,25 @@ def build_network(
         arrays=NetworkArrays(from_pos=from_pos, to_pos=to_pos, admittance=admittance,
                              ratio=ratio, shunt=shunt),
     )
+
+
+def _complex_column(name: str, column) -> np.ndarray:
+    """``column`` as a complex array; InvalidNetworkError, naming the
+    column, when some value is not a number."""
+    try:
+        return np.array(column, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidNetworkError(f"{name} must be numbers: {exc}") from None
+
+
+def _positions(index: dict, ids: list, column: str) -> np.ndarray:
+    """Each id's bus position in ``index`` (slack 0), -1 for an unknown
+    id; InvalidNetworkError, naming ``column``, for an id that cannot be
+    hashed."""
+    try:
+        return np.fromiter(map(index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+    except TypeError as exc:
+        raise InvalidNetworkError(f"{column} must be hashable: {exc}") from None
 
 
 def _same_length(what: str, **columns) -> None:
@@ -483,7 +511,7 @@ def _injections(net: NetworkDescription, doc: dict) -> np.ndarray:
     ``injections`` records (see `parse_injections`)."""
     records = _records(doc, "injections", "injection document")
     ids, id_rules = _bus_ids(records, "bus", "injection bus")
-    pos = _positions(net, ids)
+    pos = _positions(net.index, ids, "bus")
 
     def label(k):
         return f"injection for bus {ids[k]!r}"
@@ -501,11 +529,6 @@ def _injections(net: NetworkDescription, doc: dict) -> np.ndarray:
     s = np.zeros(net.n, dtype=complex)
     s[pos - 1] = _per_unit(p, q, net.power_base)
     return s
-
-
-def _positions(net: NetworkDescription, ids: list) -> np.ndarray:
-    """Each id's position in ``net.bus_ids`` (slack 0), -1 for an unknown id."""
-    return np.fromiter(map(net.index.get, ids, repeat(-1)), dtype=np.intp, count=len(ids))
 
 
 def _per_unit(p: np.ndarray, q: np.ndarray, power_base: float) -> np.ndarray:
@@ -540,7 +563,7 @@ def parse_operating_point(net: NetworkDescription, text: str) -> OperatingPoint:
 
     records = _records(doc, "voltages", "operating-point document")
     ids, id_rules = _bus_ids(records, "bus", "voltage bus")
-    pos = _positions(net, ids)
+    pos = _positions(net.index, ids, "bus")
 
     def label(k):
         return f"voltage for bus {ids[k]!r}"

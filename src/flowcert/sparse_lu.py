@@ -46,16 +46,21 @@ from .errors import SingularMatrixError
 
 PIVOT_FLOOR = 1e-13  # pivots below this signal numerical singularity
 # Entries (n times columns) of a block of right-hand sides that one
-# caller, or one of the sweep's block loops (fixed_point.converges),
-# holds at once: the budget is per loop.  Sized on the benchmark's sweeps
-# (2-vCPU x86-64 VM).  On its 300-bus meshed grid, with two loops and
-# best of 40 sweeps in four alternated rounds, 16384 entries (54
-# columns) took 32.6 ms (median of the rounds; 31.8-42.2) against 33.9
-# ms at 8192 (32.9-37.1) and 49.4 ms at 32768 (48.4-50.0), where the 128
-# points no longer make two full blocks and one loop runs them.  With one
-# loop (best of 10) 16384 took 61 ms, against 65-69 ms at 2048 to 8192,
-# 63-65 ms at 32768 and 65536, and 135 ms one column at a time; on its
-# 1000-bus feeder every budget from 4096 up took 27-28 ms.
+# caller, or each of the sweep's block loops (fixed_point.converges
+# deals the ray's points out to them in turn, each loop making its own
+# injections), holds at once: the budget is per loop.  Sized on the
+# benchmark's sweeps (2-vCPU x86-64 VM), when the loops still refilled
+# from one shared queue of points; dealt out in turn, the 128 points of
+# its meshed sweep give the two loops 2186 and 2144 column updates,
+# against 2520 and 1810 from the queue.  On its 300-bus meshed grid,
+# with two loops and best of 40 sweeps in four alternated rounds, 16384
+# entries (54 columns) took 32.6 ms (median of the rounds; 31.8-42.2)
+# against 33.9 ms at 8192 (32.9-37.1) and 49.4 ms at 32768 (48.4-50.0),
+# where the 128 points no longer make two full blocks and one loop runs
+# them.  With one loop (best of 10) 16384 took 61 ms, against 65-69 ms
+# at 2048 to 8192, 63-65 ms at 32768 and 65536, and 135 ms one column at
+# a time; on its 1000-bus feeder every budget from 4096 up took 27-28
+# ms.
 BLOCK_ENTRIES = 16384
 
 

@@ -12,7 +12,6 @@ from flowcert.errors import ConvergenceError, VoltageCollapseError
 from flowcert.fixed_point import (
     SolveResult,
     _iterate_block,
-    _Pending,
     iterate_once,
     solve_fixed_point,
 )
@@ -226,10 +225,9 @@ def test_solve_rejects_an_injection_that_is_not_one_vector(feeder_grid):
             solve_fixed_point(feeder_grid.factors, feeder_grid.w, s)
     with pytest.raises(ValueError, match="max_iter"):
         solve_fixed_point(feeder_grid.factors, feeder_grid.w, np.zeros(12), max_iter=0)
-    # the same message when the wrong column enters the block beside others
-    with pytest.raises(ValueError, match=r"injection has shape \(11,\), expected \(12,\)"):
-        fixed_point.converges(feeder_grid.factors, feeder_grid.w,
-                              [np.zeros(12), np.zeros(11), np.zeros(12)])
+    # a ray's direction is one (n,) vector too
+    with pytest.raises(ValueError, match=r"direction has shape \(11,\), expected \(12,\)"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, np.zeros(11), [0.0, 1.0])
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -237,7 +235,7 @@ def test_solves_reject_a_tolerance_that_is_not_finite_and_positive(feeder_grid, 
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         solve_fixed_point(feeder_grid.factors, feeder_grid.w, np.zeros(12), tol=tol)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        fixed_point.converges(feeder_grid.factors, feeder_grid.w, [np.zeros(12)], tol=tol)
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, np.zeros(12), [1.0], tol=tol)
 
 
 def test_a_step_equal_to_tol_does_not_stop_the_iteration(feeder_grid, feeder_s_next):
@@ -253,13 +251,19 @@ def collapsing_injection(grid):
     return -grid.w.w * np.conj(grid.system.y_ll @ grid.w.w)
 
 
-def ray_injections(grid, rng, count=24, reach=8.0):
-    """Loadings along a random ray from zero to ``reach`` times the
-    state-free limit, where the iteration runs into max_iter, plus a
-    non-finite and a collapsing injection."""
+def random_ray(grid, rng, count, reach=8.0):
+    """A random direction d and ``count`` scales from zero to ``reach``
+    times its state-free limit, where the iteration runs into max_iter."""
     d = random_injections(rng, grid.net.n)
     limit = fc.loading_limits(grid.kernel, d).corollary
-    out = [t * d for t in np.linspace(0.0, reach * limit, count)]
+    return d, np.linspace(0.0, reach * limit, count)
+
+
+def ray_injections(grid, rng, count=24, reach=8.0):
+    """The loadings of `random_ray`, plus a non-finite and a collapsing
+    injection."""
+    d, scales = random_ray(grid, rng, count, reach)
+    out = [t * d for t in scales]
     nan = d.copy()
     nan[0] = complex(np.nan, 0.0)
     return out + [nan, collapsing_injection(grid)]
@@ -273,9 +277,15 @@ def single(grid, s, **kwargs):
         return exc
 
 
+def outcome_kind(outcome):
+    if isinstance(outcome, ConvergenceError):
+        return "not finite" if "finite" in str(outcome) else "max_iter"
+    return type(outcome).__name__
+
+
 def block(grid, injections, ball=None, tol=fixed_point.DEFAULT_TOL, max_iter=60):
     """Every injection's outcome from one run of the block loop, in order."""
-    got = dict(_iterate_block(grid.factors, grid.w, _Pending([(s, ball) for s in injections]),
+    got = dict(_iterate_block(grid.factors, grid.w, enumerate((s, ball) for s in injections),
                               tol, max_iter))
     return [got[j] for j in range(len(injections))]
 
@@ -343,8 +353,7 @@ def test_block_reproduces_single_solves_bitwise():
         for got, s in zip(block(grid, injections), injections):
             want = single(grid, s, max_iter=60)
             assert_same_outcome(got, want)
-            kinds.add(type(want).__name__ if not isinstance(want, ConvergenceError)
-                      else ("not finite" if "finite" in str(want) else "max_iter"))
+            kinds.add(outcome_kind(want))
     # converged, max_iter, non-finite and collapsed columns all occurred
     assert kinds == {"SolveResult", "max_iter", "not finite", "VoltageCollapseError"}
 
@@ -389,12 +398,14 @@ def test_refill_keeps_the_block_within_its_budget(feeder_grid, monkeypatch):
 
 def recorded_loops(monkeypatch):
     """Patch `_iterate_block` to record each loop's thread and every
-    column's outcome; returns (threads, outcomes)."""
+    column's outcome, checking that no column is iterated twice; returns
+    (threads, outcomes)."""
     threads, outcomes = [], {}
 
     def recording(*args):
         threads.append(threading.get_ident())
         for j, outcome in _iterate_block(*args):
+            assert j not in outcomes
             outcomes[j] = outcome
             yield j, outcome
 
@@ -418,29 +429,37 @@ def counted_thread_starts(monkeypatch):
 def test_converges_gives_the_same_outcomes_on_any_number_of_cpus(
         feeder_grid, monkeypatch, cpus):
     # 3 columns a block on 12-bus feeder13 and on a 40-bus meshed network:
-    # each ray of 40 injections fills 13 blocks, so every CPU count gets
-    # its full number of loops; a short switch interval shuffles their
-    # schedule.
+    # each ray of 38 points fills 12 blocks, so every CPU count gets its
+    # full number of loops; a short switch interval shuffles their
+    # schedule.  Both rays run into max_iter, and along feeder13's
+    # collapse ray s* = -w conj(y_ll w) the point at scale 1 collapses.
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: cpus)
     rng = np.random.default_rng(49)
     meshed = fc.prepare_grid(random_network(rng, 40))
+    w = feeder_grid.w.w
+    collapse = -w * np.conj(feeder_grid.system.y_ll @ w)
+    rays = [(feeder_grid, 36, (collapse, np.linspace(0.0, 1.0, 38))),
+            (meshed, 120, random_ray(meshed, rng, 38))]
+    kinds = set()
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for grid, entries in ((feeder_grid, 36), (meshed, 120)):
+        for grid, entries, (direction, scales) in rays:
             monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", entries)
-            injections = ray_injections(grid, rng, count=38)
             threads, outcomes = recorded_loops(monkeypatch)
-            flags = fixed_point.converges(grid.factors, grid.w, iter(injections), max_iter=60)
+            flags = fixed_point.converges(grid.factors, grid.w, direction, scales, max_iter=60)
+            monkeypatch.setattr(fixed_point, "_iterate_block", _iterate_block)
             assert len(threads) == len(set(threads)) == cpus
-            assert sorted(outcomes) == list(range(len(injections)))
-            for j, s in enumerate(injections):
-                want = single(grid, s, max_iter=60)
+            assert sorted(outcomes) == list(range(len(scales)))
+            for j, c in enumerate(scales):
+                want = single(grid, c * direction, max_iter=60)
                 assert_same_outcome(outcomes[j], want)
                 assert flags[j] == isinstance(want, SolveResult)
+                kinds.add(outcome_kind(want))
             assert flags.any() and not flags.all()
     finally:
         sys.setswitchinterval(switch)
+    assert kinds == {"SolveResult", "max_iter", "VoltageCollapseError"}
 
 
 def test_no_thread_starts_for_one_block_or_a_single_solve(feeder_grid, monkeypatch):
@@ -448,62 +467,50 @@ def test_no_thread_starts_for_one_block_or_a_single_solve(feeder_grid, monkeypat
     monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)  # 3 columns a block
     starts = counted_thread_starts(monkeypatch)
     rng = np.random.default_rng(50)
-    injections = ray_injections(feeder_grid, rng, count=4)  # 6: one full block and part of one
-    single(feeder_grid, injections[1])
+    direction, scales = random_ray(feeder_grid, rng, 6)  # 6: two full blocks
+    single(feeder_grid, scales[1] * direction)
     for count in (1, 3, 5):
-        fixed_point.converges(feeder_grid.factors, feeder_grid.w, injections[:count])
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, direction, scales[:count])
     assert starts == []
-    fixed_point.converges(feeder_grid.factors, feeder_grid.w, injections)
+    fixed_point.converges(feeder_grid.factors, feeder_grid.w, direction, scales)
     assert len(starts) == 1  # two full blocks: one worker beside the caller
 
 
-def test_a_bad_injection_in_a_later_block_raises_in_the_caller(feeder_grid, monkeypatch):
+def test_an_exception_in_a_worker_loop_raises_in_the_caller(feeder_grid, monkeypatch):
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
     monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
-    rng = np.random.default_rng(51)
-    injections = ray_injections(feeder_grid, rng, count=38)
-    # After the failure is recorded, each of the other two loops starts
-    # at most the one update it may be about to make.
-    failed, late = [], []
-    fail = fixed_point._Pending.fail
+    direction, scales = random_ray(feeder_grid, np.random.default_rng(51), 38)
+    main = threading.main_thread()
 
-    def recording_fail(self, error):
-        fail(self, error)
-        failed.append(error)
-
-    def counting(*args):
-        late.extend(failed[:1])
+    def failing_in_workers(*args):
+        if threading.current_thread() is not main:
+            raise RuntimeError("worker update failed")
         return iterate_once(*args)
 
-    monkeypatch.setattr(fixed_point._Pending, "fail", recording_fail)
-    monkeypatch.setattr(fixed_point, "iterate_once", counting)
+    monkeypatch.setattr(fixed_point, "iterate_once", failing_in_workers)
     before = threading.active_count()
-    for bad in (20, 39):
-        wrong = list(injections)
-        wrong[bad] = np.zeros(11)
-        failed.clear()
-        late.clear()
-        with pytest.raises(ValueError, match=r"injection has shape \(11,\), expected \(12,\)"):
-            fixed_point.converges(feeder_grid.factors, feeder_grid.w, iter(wrong))
-        assert threading.active_count() == before
-        assert len(failed) == 1 and len(late) <= 2
+    with pytest.raises(RuntimeError, match="worker update failed"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, direction, scales)
+    assert threading.active_count() == before
 
 
-def test_a_tolerance_that_is_not_finite_fails_before_any_worker_starts(
-        feeder_grid, monkeypatch):
+def test_a_bad_argument_fails_before_any_worker_starts(feeder_grid, monkeypatch):
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
     monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
     starts = counted_thread_starts(monkeypatch)
-    read = []
+    updates = []
 
-    def injections():
-        for s in ray_injections(feeder_grid, np.random.default_rng(52), count=38):
-            read.append(s)
-            yield s
+    def counting(*args):
+        updates.append(1)
+        return iterate_once(*args)
 
+    monkeypatch.setattr(fixed_point, "iterate_once", counting)
+    direction, scales = random_ray(feeder_grid, np.random.default_rng(52), 38)
     with pytest.raises(ValueError, match="tol must be finite and positive"):
-        fixed_point.converges(feeder_grid.factors, feeder_grid.w, injections(), tol=math.nan)
-    assert starts == [] and read == []
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, direction, scales, tol=math.nan)
+    with pytest.raises(ValueError, match=r"direction has shape \(11,\), expected \(12,\)"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, direction[:11], scales)
+    assert starts == [] and updates == []
 
 
 def test_cpu_count_is_the_affinity_mask(monkeypatch):

@@ -96,6 +96,33 @@ def test_build_network_rejects_non_finite_values(args, message):
     assert str(excinfo.value) == message
 
 
+BAD_COLUMNS = [["0", "1"], ["slack", "load"], [0j, 0j], ["0"], ["1"], ["line"], [1 - 10j],
+               [1 + 0j], 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "column,value,message",
+    [
+        (0, [[1], "1"], "bus_ids must be hashable: unhashable type: 'list'"),
+        (3, [[0]], "from_ids must be hashable: unhashable type: 'list'"),
+        (4, [{1}], "to_ids must be hashable: unhashable type: 'set'"),
+        (2, ["x", 0j], "shunts must be numbers: complex() arg is a malformed string"),
+        (6, ["x"], "admittances must be numbers: complex() arg is a malformed string"),
+        (7, ["x"], "ratios must be numbers: complex() arg is a malformed string"),
+        (8, "x", "power base must be a real number, got 'x'"),
+        (9, 1j, "voltage base must be a real number, got 1j"),
+    ],
+    ids=["bus id", "from id", "to id", "shunt", "admittance", "ratio", "power base",
+         "voltage base"],
+)
+def test_build_network_names_the_column_of_a_value_of_the_wrong_type(column, value, message):
+    columns = list(BAD_COLUMNS)
+    columns[column] = value
+    with pytest.raises(InvalidNetworkError) as excinfo:
+        fc.build_network(*columns)
+    assert str(excinfo.value) == message
+
+
 def test_build_network_reports_the_first_faulty_branch_and_its_first_rule():
     buses = [Bus("0", "slack"), Bus("1", "load"), Bus("2", "load")]
     branches = [
