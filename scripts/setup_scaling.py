@@ -1,7 +1,9 @@
-"""Time each set-up stage of flowcert on generated radial feeders.
+"""Time each set-up stage of flowcert on generated networks.
 
 For a chain and a random recursive tree of 10^3, 10^4 and 10^5 load
-buses, times in process, best of ``--repeats``:
+buses, and a random meshed network at each of these sizes up to the
+dense kernel's cap (`certificate.KERNEL_SIZE_CAP`), times in process,
+best of ``--repeats``:
 
     parse      parse_network on the network document's text
     admittance build_admittance
@@ -10,7 +12,11 @@ buses, times in process, best of ``--repeats``:
     kernel     build_kernel
 
 and prints one table in milliseconds.  Parse plus the four stages of
-`prepare_grid` is the set-up a controller pays once per network.  Two
+`prepare_grid` is the set-up a controller pays once per network.  The
+radial networks take the tree kernel, the meshed ones the dense kernel:
+a random recursive tree plus n/6 chords, with shunts at 40 % of the
+buses and 30 % of the branches transformers, drawn like the
+benchmark's meshed-300 grid.  Two
 more columns time what a controller pays per operating point and per
 injection:
 
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -53,9 +60,22 @@ def tree_document(n: int, rng: np.random.Generator) -> str:
     return _document(n, list(zip(parents, range(1, n + 1))), rng, transformers=True)
 
 
-def _document(n, pairs, rng, *, transformers):
+def meshed_document(n: int, rng: np.random.Generator) -> str:
+    """A random recursive tree plus n // 6 chords between distinct buses,
+    slack included; shunts at 40 % of the load buses."""
+    pairs = [(int(rng.integers(0, i)), i) for i in range(1, n + 1)]
+    pairs += [tuple(int(x) for x in rng.choice(n + 1, size=2, replace=False))
+              for _ in range(n // 6)]
+    return _document(n, pairs, rng, transformers=True, shunts=True)
+
+
+def _document(n, pairs, rng, *, transformers, shunts=False):
     buses = [{"id": "0", "kind": "slack"}]
-    buses += [{"id": str(i), "kind": "load"} for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        bus = {"id": str(i), "kind": "load"}
+        if shunts and rng.random() < 0.4:
+            bus.update(shunt_g=rng.uniform(0.0, 0.05), shunt_b=rng.uniform(-0.15, 0.15))
+        buses.append(bus)
     branches = []
     for a, b in pairs:
         if transformers:
@@ -129,8 +149,11 @@ def main(argv=None) -> None:
     header = (["topology", "n"] + [f"{s}_ms" for s in STAGES]
               + ["total_ms", "op_parse_ms", "xi_us"])
     print(" ".join(f"{h:>13}" for h in header))
-    for name, make in (("chain", chain_document), ("random-tree", tree_document)):
-        for n in args.sizes:
+    topologies = (("chain", chain_document, math.inf),
+                  ("random-tree", tree_document, math.inf),
+                  ("random-meshed", meshed_document, fc.certificate.KERNEL_SIZE_CAP))
+    for name, make, cap in topologies:
+        for n in (n for n in args.sizes if n <= cap):
             rng = np.random.default_rng(args.seed)
             best = time_stages(make(n, rng), args.repeats, rng)
             cells = [name, str(n)] + [f"{best[s]:.1f}" for s in STAGES]

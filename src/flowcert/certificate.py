@@ -34,8 +34,11 @@ The kernel has two implementations behind one interface, and
 `build_kernel` picks one from what the factors of y_ll show; there is
 no switch.
 
-* `DenseKernel` holds |K| itself, solved for in blocks of columns: O(n^2)
-  memory, refused beyond KERNEL_SIZE_CAP.  Any network may take it.
+* `DenseKernel` holds |K| itself: O(n^2) memory, refused beyond
+  KERNEL_SIZE_CAP.  Any network may take it.  Since
+  |K_ij| = |Z_ij| / (|w_i| |w_j|) with Z = y_ll^-1, the columns of Z are
+  solved for in blocks, each entry's modulus is taken once, and the
+  w-scaling is two real multiplies per entry by 1/|w|.
 
 * `TreeKernel` is taken exactly when the load-bus graph is a forest
   (meshed through the slack only, parallel branches allowed), which the
@@ -248,13 +251,15 @@ def build_kernel(
 
 
 def _abs_kernel(factors: LuFactors, w: ZeroLoadProfile) -> np.ndarray:
-    """|K| by column blocks: columns of y_ll^-1 come from one sparse
-    solve against a block of unit vectors of at most BLOCK_ENTRIES
-    entries and are kept only as their magnitudes, so the complex inverse
-    is never held.  SuperLU solves each column of a block bit for bit as
-    alone, so every entry is that of its column's own solve.  |K| is
-    O(n^2) memory, so networks above KERNEL_SIZE_CAP are refused before
-    anything is allocated.
+    """|K| by column blocks, as |K_ij| = |Z_ij| (1/|w_i|) (1/|w_j|) with
+    Z = y_ll^-1.  The columns of Z come from one sparse solve against a
+    block of unit vectors of at most BLOCK_ENTRIES entries and are kept
+    only as their magnitudes, so the complex inverse is never held: the
+    solve and one modulus are the only complex work per entry, and both
+    w-scalings are real multiplies in place on |K|.  SuperLU solves each
+    column of a block bit for bit as alone, so every entry is that of its
+    column's own solve.  |K| is O(n^2) memory, so networks above
+    KERNEL_SIZE_CAP are refused before anything is allocated.
     """
     n = factors.n
     if n > KERNEL_SIZE_CAP:
@@ -263,20 +268,22 @@ def _abs_kernel(factors: LuFactors, w: ZeroLoadProfile) -> np.ndarray:
             f"the dense kernel is quadratic in memory"
         )
     width = max(1, BLOCK_ENTRIES // n)
+    inv_w = 1.0 / np.abs(w.w)
     abs_k_t = np.empty((n, n))  # row j holds column j of |K|
     units = np.zeros((n, width), dtype=complex)
     for start in range(0, n, width):
         stop = min(start + width, n)
         ones = (np.arange(start, stop), np.arange(stop - start))
         units[ones] = 1.0
-        k_cols = solve(factors, units[:, :stop - start])
+        z_cols = solve(factors, units[:, :stop - start])
         units[ones] = 0.0
-        # in place, and freed before the next solve: the peak holds one
-        # block of temporaries beside |K|
-        k_cols /= w.w[:, None]
-        k_cols /= np.conj(w.w[start:stop])
-        np.abs(k_cols.T, out=abs_k_t[start:stop])
-        del k_cols
+        cols = abs_k_t[start:stop]
+        np.abs(z_cols.T, out=cols)
+        # freed before the next solve: the peak holds one block of
+        # temporaries beside |K|
+        del z_cols
+        cols *= inv_w
+        cols *= inv_w[start:stop, None]
     return abs_k_t.T
 
 

@@ -66,16 +66,35 @@ def test_kernel_identity_product():
 def test_abs_kernel_column_blocks_equal_single_column_solves_bitwise(monkeypatch):
     rng = np.random.default_rng(32)
     grid = fc.prepare_grid(random_network(rng, 23))
-    n, w = grid.factors.n, grid.w.w
+    n = grid.factors.n
+    inv_w = 1.0 / np.abs(grid.w.w)
     want = np.empty((n, n))
     for j in range(n):
         unit = np.zeros(n, dtype=complex)
         unit[j] = 1.0
-        want[:, j] = np.abs(fc.solve(grid.factors, unit) / w / np.conj(w[j]))
+        want[:, j] = np.abs(fc.solve(grid.factors, unit)) * inv_w * inv_w[j]
     # a budget of 5 columns: four full blocks and a last one of 3
     monkeypatch.setattr(fc.certificate, "BLOCK_ENTRIES", 5 * n)
     got = fc.certificate._abs_kernel(grid.factors, grid.w)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_abs_kernel_real_scaling_matches_the_complex_kernel():
+    # |Z_ij| (1/|w_i|) (1/|w_j|) against |Z_ij / w_i / conj(w_j)|, Z the same
+    # SuperLU columns: a few roundings apart, and zero exactly where K is.
+    eps = np.finfo(float).eps
+    zeros = 0
+    for seed in range(12):
+        rng = np.random.default_rng(400 + seed)
+        grid = fc.prepare_grid(random_network(rng, int(rng.integers(3, 80))))
+        w = grid.w.w
+        z = fc.solve(grid.factors, np.eye(grid.factors.n, dtype=complex))
+        want = np.abs(z / w[:, None] / np.conj(w)[None, :])
+        got = fc.certificate._abs_kernel(grid.factors, grid.w)
+        assert np.array_equal(got == 0, want == 0)
+        assert np.all(np.abs(got - want) <= 8 * eps * want)
+        zeros += int(np.sum(want == 0))
+    assert zeros > 0  # some draws hang separate trees from the slack
 
 
 def _with_branches(net, extra):

@@ -494,6 +494,36 @@ def test_an_exception_in_a_worker_loop_raises_in_the_caller(feeder_grid, monkeyp
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("cpus, error", [(2, KeyboardInterrupt), (3, RuntimeError)])
+def test_a_failing_caller_loop_stops_the_worker_loops(feeder_grid, monkeypatch, cpus, error):
+    # 3 columns a block and 90 points: each loop has far more than one
+    # update left when the caller's fifth update raises.  A worker may
+    # be inside the update it started before the stop, but makes no more.
+    monkeypatch.setattr(fixed_point, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    direction, scales = random_ray(feeder_grid, np.random.default_rng(53), 90)
+    main = threading.main_thread()
+    raised = threading.Event()
+    caller_updates, late_updates = [], []
+
+    def failing_in_the_caller(*args):
+        if threading.current_thread() is main:
+            caller_updates.append(1)
+            if len(caller_updates) == 5:
+                raised.set()
+                raise error("caller update failed")
+        elif raised.is_set():
+            late_updates.append(threading.get_ident())
+        return iterate_once(*args)
+
+    monkeypatch.setattr(fixed_point, "iterate_once", failing_in_the_caller)
+    before = threading.active_count()
+    with pytest.raises(error, match="caller update failed"):
+        fixed_point.converges(feeder_grid.factors, feeder_grid.w, direction, scales)
+    assert threading.active_count() == before
+    assert all(late_updates.count(worker) <= 1 for worker in late_updates)
+
+
 def test_a_bad_argument_fails_before_any_worker_starts(feeder_grid, monkeypatch):
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
     monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
