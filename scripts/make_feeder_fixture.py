@@ -3,11 +3,13 @@
 The feeder follows the familiar 13-bus test layout with the buses
 renumbered 1..12 (slack is 0).  All branches are one synthetic cable
 type with the usual segment lengths; the per-length impedance is scaled
-globally so that the loading measure of the base injections lands
-exactly at XI_TARGET, which puts the scenario in the regime where the
-state-aware certificate passes while every state-free condition fails.
+globally by IMPEDANCE_SCALE, fitted once so that the loading measure of
+the base injections lands at XI_TARGET, which puts the scenario in the
+regime where the state-aware certificate passes while every state-free
+condition fails.  The scale is a constant, not refitted at run time, so
+a rerun writes the committed network and injection files byte for byte.
 The operating-point voltages are produced by the Newton solver and
-frozen at full precision.
+frozen at full precision; a rerun matches them to roundoff.
 
 Run from the repository root:  python scripts/make_feeder_fixture.py
 """
@@ -32,8 +34,11 @@ POWER_BASE_MVA = 5.0
 VOLTAGE_BASE_KV = 2.4  # 4.16 kV line-to-line / sqrt(3)
 Z_BASE_OHM = VOLTAGE_BASE_KV**2 / POWER_BASE_MVA
 
-# One cable type, impedance per 1000 ft (scaled below).
+# One cable type, impedance per 1000 ft, and the scale that puts the
+# loading measure of the base injections at XI_TARGET (XI_TARGET over the
+# measure at the unscaled impedance, which is linear in the scale).
 Z_PER_KFT = 0.08 + 0.16j
+IMPEDANCE_SCALE = 0.5240381256097772
 
 # (from, to, length in feet); transformer and switch segments of the
 # original feeder are represented as short line segments, matching the
@@ -90,32 +95,12 @@ def injection_vector(net: fc.NetworkDescription, scaled: bool) -> np.ndarray:
     return s
 
 
-def main() -> None:
-    # Lines only, so the zero-load profile is the unit vector and the
-    # loading measure is exactly linear in the impedance scale.
-    probe = fc.prepare_grid(build_net(Z_PER_KFT))
-    xi0 = fc.xi(probe.kernel, injection_vector(probe.net, scaled=False))
-    scale = XI_TARGET / xi0
-    z_final = Z_PER_KFT * scale
-    net = build_net(z_final)
+def build_fixture():
+    """The fixture's prepared grid, the Newton voltages at the base
+    injections, and the four fixture documents by file name."""
+    net = build_net(Z_PER_KFT * IMPEDANCE_SCALE)
     grid = fc.prepare_grid(net)
-
-    s_hat = injection_vector(net, scaled=False)
-    s_next = injection_vector(net, scaled=True)
-    nr = fc.solve_newton(grid.system, s_hat)
-
-    report = fc.certify(grid.kernel, s_next, w=grid.w, v_hat=nr.v, s_hat=s_hat)
-    print(f"impedance per kft: {z_final}")
-    print(f"xi(s_hat)     = {report.xi_s_hat:.6f}")
-    print(f"xi(s - s_hat) = {report.xi_delta_s:.6f}")
-    print(f"xi(s)         = {report.xi_s:.6f}")
-    print(f"u_min         = {report.u_min:.6f}")
-    print(f"delta         = {report.delta:.6f}")
-    print(f"rho           = {report.rho}")
-    print(f"state-aware ok = {report.theorem_ok}, state-free ok = {report.corollary_ok}")
-
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUT_DIR / "network.json").write_text(fc.serialize_network(net), encoding="utf-8")
+    nr = fc.solve_newton(grid.system, injection_vector(net, scaled=False))
 
     def injection_records(scaled: bool):
         return [
@@ -127,14 +112,9 @@ def main() -> None:
             for bus_id, (p, q, e) in INJECTIONS.items()
         ]
 
-    (OUT_DIR / "injections_base.json").write_text(
-        json.dumps({"injections": injection_records(False)}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    (OUT_DIR / "injections_next.json").write_text(
-        json.dumps({"injections": injection_records(True)}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    def document(doc) -> str:
+        return json.dumps(doc, indent=2) + "\n"
+
     op_doc = {
         "provenance": "solved",
         "voltages": [
@@ -147,9 +127,32 @@ def main() -> None:
         ],
         "injections": injection_records(False),
     }
-    (OUT_DIR / "operating_point.json").write_text(
-        json.dumps(op_doc, indent=2) + "\n", encoding="utf-8"
-    )
+    files = {
+        "network.json": fc.serialize_network(net),
+        "injections_base.json": document({"injections": injection_records(False)}),
+        "injections_next.json": document({"injections": injection_records(True)}),
+        "operating_point.json": document(op_doc),
+    }
+    return grid, nr.v, files
+
+
+def main() -> None:
+    grid, v_hat, files = build_fixture()
+    s_hat = injection_vector(grid.net, scaled=False)
+    s_next = injection_vector(grid.net, scaled=True)
+    report = fc.certify(grid.kernel, s_next, w=grid.w, v_hat=v_hat, s_hat=s_hat)
+    print(f"impedance per kft: {Z_PER_KFT * IMPEDANCE_SCALE}")
+    print(f"xi(s_hat)     = {report.xi_s_hat:.6f}")
+    print(f"xi(s - s_hat) = {report.xi_delta_s:.6f}")
+    print(f"xi(s)         = {report.xi_s:.6f}")
+    print(f"u_min         = {report.u_min:.6f}")
+    print(f"delta         = {report.delta:.6f}")
+    print(f"rho           = {report.rho}")
+    print(f"state-aware ok = {report.theorem_ok}, state-free ok = {report.corollary_ok}")
+
+    OUT_DIR.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (OUT_DIR / name).write_text(text, encoding="utf-8")
     print(f"fixture written to {OUT_DIR}")
 
 

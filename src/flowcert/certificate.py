@@ -32,9 +32,9 @@ intervals.
 
 The kernel has two implementations behind one interface, and
 `build_kernel` picks one from what the factors of y_ll show; there is
-no switch.
+no switch.  Both build |K| itself through `_abs_kernel`.
 
-* `DenseKernel` holds |K| itself: O(n^2) memory, refused beyond
+* `DenseKernel` holds |K|: O(n^2) memory, refused beyond
   KERNEL_SIZE_CAP.  Any network may take it.  Since
   |K_ij| = |Z_ij| / (|w_i| |w_j|) with Z = y_ll^-1, the columns of Z are
   solved for in blocks, each entry's modulus is taken once, and the
@@ -66,11 +66,13 @@ no switch.
   for them, and a second matvec gathers the row sums from t and them.
   All three add non-negative terms only, and each xi costs O(n).
   The same passes on squared ratios give the row 2-norms, and a (max, x)
-  pass the column maxima behind lambda.
+  pass the column maxima behind lambda.  Its |K| is the passes' row sums
+  of unit vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -82,7 +84,7 @@ from scipy.sparse.linalg import SuperLU, splu
 from .admittance import AdmittanceSystem
 from .errors import InvalidNetworkError
 from .newton import power_mismatch
-from .sparse_lu import BLOCK_ENTRIES, LuFactors, solve
+from .sparse_lu import LuFactors, block_width, solve
 from .zero_load import ZeroLoadProfile, u_min as u_min_of
 
 # |K| is n x n: the dense kernel, and abs_k read from a tree kernel, refuse
@@ -113,7 +115,8 @@ class KernelMatrix:
 
     Each implementation gives ``row_sums(t)``, the vector |K| t for a
     non-negative t (bus order), whose largest entry is xi; ``abs_k``,
-    |K| itself; and ``path``, "dense" or "tree".  ``row_sums`` also takes
+    |K| itself, held by the dense kernel and read from the row sums by
+    the tree kernel; and ``path``, "dense" or "tree".  ``row_sums`` also takes
     an (n, k) block and gives, column for column, bit for bit what it
     gives each column alone.
     """
@@ -167,13 +170,11 @@ class TreePasses:
 class TreeKernel(KernelMatrix):
     """|K| of a forest, never held: each row sum is one `TreePasses` sweep.
 
-    ``abs_k`` rebuilds |K| from ``factors`` and ``w`` one column solve at
-    a time, for checks only: O(n^2) time and memory, refused beyond
-    KERNEL_SIZE_CAP.
+    ``abs_k`` reads |K| from the passes, each column the row sums of its
+    unit vector, bit for bit, for checks only: O(n^2) memory, refused
+    beyond KERNEL_SIZE_CAP.
     """
 
-    factors: LuFactors
-    w: ZeroLoadProfile
     passes: TreePasses
     path: ClassVar[str] = "tree"
 
@@ -182,7 +183,8 @@ class TreeKernel(KernelMatrix):
 
     @property
     def abs_k(self) -> np.ndarray:
-        return _abs_kernel(self.factors, self.w)
+        return _abs_kernel(self.n, float, lambda units, _, out: np.copyto(
+            out, self.row_sums(units).T))
 
 
 @dataclass(frozen=True)
@@ -250,41 +252,45 @@ def build_kernel(
     return _tree_kernel(system, factors, w, forest)
 
 
-def _abs_kernel(factors: LuFactors, w: ZeroLoadProfile) -> np.ndarray:
-    """|K| by column blocks, as |K_ij| = |Z_ij| (1/|w_i|) (1/|w_j|) with
-    Z = y_ll^-1.  The columns of Z come from one sparse solve against a
-    block of unit vectors of at most BLOCK_ENTRIES entries and are kept
-    only as their magnitudes, so the complex inverse is never held: the
-    solve and one modulus are the only complex work per entry, and both
-    w-scalings are real multiplies in place on |K|.  SuperLU solves each
-    column of a block bit for bit as alone, so every entry is that of its
-    column's own solve.  |K| is O(n^2) memory, so networks above
-    KERNEL_SIZE_CAP are refused before anything is allocated.
+def _abs_kernel(n: int, dtype, columns) -> np.ndarray:
+    """|K| by blocks of `block_width` columns.
+
+    ``columns(units, span, out)`` writes |K| e_j for each column e_j of
+    ``units``, the (n, k) ``dtype`` unit vectors of the columns in the
+    slice ``span``, as the k rows of ``out``, and frees its temporaries,
+    so the peak holds one block of them beside |K|.  |K| is O(n^2)
+    memory, so n above KERNEL_SIZE_CAP is refused before any allocation.
     """
-    n = factors.n
     if n > KERNEL_SIZE_CAP:
         raise ValueError(
             f"kernel for n={n} exceeds the size cap {KERNEL_SIZE_CAP}; "
-            f"the dense kernel is quadratic in memory"
+            f"|K| is quadratic in memory"
         )
-    width = max(1, BLOCK_ENTRIES // n)
-    inv_w = 1.0 / np.abs(w.w)
+    width = block_width(n)
     abs_k_t = np.empty((n, n))  # row j holds column j of |K|
-    units = np.zeros((n, width), dtype=complex)
+    units = np.zeros((n, width), dtype=dtype)
     for start in range(0, n, width):
         stop = min(start + width, n)
         ones = (np.arange(start, stop), np.arange(stop - start))
         units[ones] = 1.0
-        z_cols = solve(factors, units[:, :stop - start])
+        columns(units[:, :stop - start], slice(start, stop), abs_k_t[start:stop])
         units[ones] = 0.0
-        cols = abs_k_t[start:stop]
-        np.abs(z_cols.T, out=cols)
-        # freed before the next solve: the peak holds one block of
-        # temporaries beside |K|
-        del z_cols
-        cols *= inv_w
-        cols *= inv_w[start:stop, None]
     return abs_k_t.T
+
+
+def _dense_columns(factors: LuFactors, w: ZeroLoadProfile):
+    """The dense kernel's `_abs_kernel` columns, |K_ij| = |Z_ij| (1/|w_i|)
+    (1/|w_j|) with Z = y_ll^-1: one sparse solve per block, whose columns
+    SuperLU solves bit for bit as alone, and one modulus per entry are the
+    only complex work; both w-scalings are real multiplies in place."""
+    inv_w = 1.0 / np.abs(w.w)
+
+    def columns(units, span, out):
+        np.abs(solve(factors, units).T, out=out)
+        out *= inv_w
+        out *= inv_w[span, None]
+
+    return columns
 
 
 def _row_norms(col_max, lam, plain, weighted):
@@ -309,7 +315,7 @@ def _row_norms(col_max, lam, plain, weighted):
 def _dense_kernel(
     system: AdmittanceSystem, factors: LuFactors, w: ZeroLoadProfile
 ) -> DenseKernel:
-    abs_k = _abs_kernel(factors, w)
+    abs_k = _abs_kernel(factors.n, complex, _dense_columns(factors, w))
     col_max = abs_k.max(axis=0)
     lam = 1.0 / col_max
     row_norm, weighted_row_norm = _row_norms(
@@ -569,8 +575,7 @@ def _tree_kernel(system, factors, w, forest) -> TreeKernel:
     row_norm, weighted_row_norm = _row_norms(
         col_max, lam, (plain[:, 0], squared[:, 0]), (plain[:, 1], squared[:, 1]))
     return TreeKernel(system=system, lam=lam, row_norm=row_norm,
-                      weighted_row_norm=weighted_row_norm, factors=factors, w=w,
-                      passes=passes)
+                      weighted_row_norm=weighted_row_norm, passes=passes)
 
 
 def _injection(kernel: KernelMatrix, s) -> np.ndarray:
@@ -587,10 +592,16 @@ def xi(kernel: KernelMatrix, s: np.ndarray) -> float:
 
 
 def _xi_block(kernel: KernelMatrix, injections) -> list[float]:
-    """`xi` of each of ``injections``, bit for bit, from one ``row_sums``
-    call on their magnitudes as the columns of one block."""
-    t = np.column_stack([np.abs(_injection(kernel, s)) for s in injections])
-    return kernel.row_sums(t).max(axis=0).tolist()
+    """`xi` of each of ``injections``, any iterable, bit for bit: their
+    magnitudes are the columns of blocks of `block_width` columns, one
+    ``row_sums`` call per block."""
+    injections = iter(injections)
+    width = block_width(kernel.n)
+    values = []
+    while block := list(itertools.islice(injections, width)):
+        t = np.column_stack([np.abs(_injection(kernel, s)) for s in block])
+        values += kernel.row_sums(t).max(axis=0).tolist()
+    return values
 
 
 def theorem_conditions(

@@ -6,15 +6,15 @@ apparent power kappa in MVA.  Because the loading measure is absolutely
 homogeneous, each state-free condition holds exactly below a closed-form
 boundary (`certificate.loading_limits`), which gives its mask as well.
 The state-aware mask is evaluated at every grid point, with the grid's
-loading measures taken in blocks of columns; it is an interval around
-the operating point's own loading kappa_hat, whose ends are bracketed
-by bisection.
+loading measures taken in blocks of columns (`certificate._xi_block`);
+it is an interval around the operating point's own loading kappa_hat,
+whose ends are bracketed by bisection.
 
-Optionally the plain fixed-point iteration (uncertified, from the
-zero-load profile) is run on the grid points, iterated together in
-blocks (`fixed_point.converges`), to record where it empirically
-converges.  When the grid fills more than one block, the ray's points
-are dealt out in turn to one block loop per CPU the process may run on
+The plain fixed-point iteration (uncertified, from the zero-load
+profile) is run on the grid points, iterated together in blocks
+(`fixed_point.converges`), to record where it empirically converges.
+When the grid fills more than one block, the ray's points are dealt
+out in turn to one block loop per CPU the process may run on
 (``taskset`` limits them), each making its own injections; the outputs
 are the same on one CPU or many.
 """
@@ -30,7 +30,6 @@ from . import certificate as cert
 from .fixed_point import converges
 from .network import NetworkDescription, OperatingPoint
 from .pipeline import prepare_grid
-from .sparse_lu import BLOCK_ENTRIES
 from .zero_load import u_min as u_min_of
 
 DEFAULT_STEPS = 512
@@ -42,8 +41,7 @@ class SweepResult:
     """Masks, boundaries and the ray used for one sweep.
 
     Masks are boolean per grid point; ``theorem_mask`` is None without
-    an operating point and ``fp_converged`` is None when the empirical
-    solver pass was skipped.  Boundaries are in MVA; None means no
+    an operating point.  Boundaries are in MVA; None means no
     transition inside [0, kappa_max].  The state-free boundaries are
     closed forms; each theorem end passes its condition and lies within
     THEOREM_RTOL * kappa_max of a failing loading beyond it.
@@ -55,7 +53,7 @@ class SweepResult:
     corollary_mask: np.ndarray
     improved_mask: np.ndarray
     prior_mask: np.ndarray
-    fp_converged: np.ndarray | None
+    fp_converged: np.ndarray
     kappa_hat: float | None
     theorem_interval: tuple[float, float] | None
     corollary_boundary: float | None
@@ -70,7 +68,6 @@ def sweep(
     kappa_max: float = 20.0,
     steps: int = DEFAULT_STEPS,
     *,
-    run_fixed_point: bool = True,
     fp_tol: float = 1e-9,
     fp_max_iter: int = 100,
 ) -> SweepResult:
@@ -80,8 +77,9 @@ def sweep(
     with an operating point, which must solve the load-flow equations
     (`certificate.check_operating_point`), the state-aware conditions
     are evaluated against its (v_hat, s_hat) at every grid point.
-    Every argument is checked before any set-up, ``fp_tol`` and
-    ``fp_max_iter`` also when ``run_fixed_point`` is False.
+    The plain fixed-point iteration runs on every grid point, with
+    ``fp_tol`` and ``fp_max_iter``.  Every argument is checked before any
+    set-up.
     """
     if steps < 2:
         raise ValueError(f"need at least 2 grid points, got {steps}")
@@ -129,19 +127,14 @@ def sweep(
 
         # the grid's xi(s - s_hat) in blocks of columns, each bit for bit
         # its own xi call
-        width = max(1, BLOCK_ENTRIES // kernel.n)
         theorem_mask = np.array([
             passes(xi_delta)
-            for start in range(0, steps, width)
-            for xi_delta in cert._xi_block(
-                kernel, [s_at(k) - s_hat for k in kappa_grid[start:start + width]])
+            for xi_delta in cert._xi_block(kernel, (s_at(k) - s_hat for k in kappa_grid))
         ])
         theorem_interval = _theorem_interval(theorem_at, kappa_hat, kappa_max)
 
-    fp_converged = None
-    if run_fixed_point:
-        fp_converged = converges(grid.factors, grid.w, direction, kappa_grid / base,
-                                 tol=fp_tol, max_iter=fp_max_iter)
+    fp_converged = converges(grid.factors, grid.w, direction, kappa_grid / base,
+                             tol=fp_tol, max_iter=fp_max_iter)
 
     def boundary(limit: float) -> float | None:
         return limit if limit <= kappa_max else None

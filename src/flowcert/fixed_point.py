@@ -14,7 +14,7 @@ injections together as the columns of one block, each from its own
 start, and applies G to the whole block with one `iterate_once` call,
 that is one multi-right-hand-side solve, per iteration.  Pending
 injections refill the block as columns retire, so it never holds more
-than max(1, BLOCK_ENTRIES // n) columns.  `converges` iterates the
+than `sparse_lu.block_width` columns.  `converges` iterates the
 points c * d of a ray in L such loops, one for every CPU the process may
 run on but no more than the points fill full blocks: loop t takes the
 points t, t + L, t + 2L, ... and makes each injection only when a column
@@ -62,7 +62,7 @@ import numpy as np
 
 from .certificate import SolutionBall
 from .errors import ConvergenceError, VoltageCollapseError
-from .sparse_lu import BLOCK_ENTRIES, LuFactors, solve
+from .sparse_lu import LuFactors, block_width, solve
 from .zero_load import ZeroLoadProfile
 
 VOLTAGE_FLOOR = 1e-6  # p.u.; below this the injected-current division blows up
@@ -145,11 +145,6 @@ def _check_limits(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be finite and positive, got {tol}")
 
 
-def _width(w: ZeroLoadProfile) -> int:
-    """Columns of a block: max(1, BLOCK_ENTRIES // n)."""
-    return max(1, BLOCK_ENTRIES // w.w.shape[0])
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -170,7 +165,7 @@ def _iterate_block(factors, w, pending, tol, max_iter, stop=None):
     start of its next iteration once the threading.Event ``stop`` is set,
     whatever is still in the block or pending.
     """
-    width = _width(w)
+    width = block_width(w.w.shape[0])
     scale = w.w[:, None]
     block: list[_Column] = []
     s = v = None  # (n, len(block)): the block's injections and iterates
@@ -282,9 +277,9 @@ def converges(
     c * ``direction`` of the ray, c in ``scales``, as a boolean array in
     their order.
 
-    The points are iterated together, in blocks of width = max(1,
-    BLOCK_ENTRIES // n) columns, by L = max(1, min(CPUs, len(scales) //
-    width)) block loops, CPUs being those the process may run on
+    The points are iterated together, in blocks of `block_width` columns,
+    by L = max(1, min(CPUs, len(scales) // block_width)) block loops,
+    CPUs being those the process may run on
     (`os.sched_getaffinity`, which ``taskset`` sets).  Loop t takes the
     points t, t + L, t + 2L, ...; the calling thread runs loop 0 and a
     thread pool the others.  The flags do not depend on L.  Every
@@ -295,7 +290,7 @@ def converges(
     """
     _check_limits(tol, max_iter)
     _check_shape(w.w.shape[0], "direction", direction)
-    loops = max(1, min(_cpu_count(), len(scales) // _width(w)))
+    loops = max(1, min(_cpu_count(), len(scales) // block_width(w.w.shape[0])))
     flags = np.empty(len(scales), dtype=bool)
     stop = threading.Event()  # set only when a loop raises
 

@@ -46,25 +46,19 @@ from .errors import SingularMatrixError
 
 PIVOT_FLOOR = 1e-13  # pivots below this signal numerical singularity
 # Entries (n times columns) of a block of right-hand sides that one
-# caller, or each of the sweep's block loops (fixed_point.converges
-# deals the ray's points out to them in turn, each loop making its own
-# injections), holds at once: the budget is per loop.  Sized on the
-# benchmark's sweeps (2-vCPU x86-64 VM), when the loops still refilled
-# from one shared queue of points; dealt out in turn, the 128 points of
-# its meshed sweep give the two loops 2186 and 2144 column updates,
-# against 2520 and 1810 from the queue.  On its 300-bus meshed grid,
-# with two loops and best of 40 sweeps in four alternated rounds, 16384
-# entries (54 columns) took 32.6 ms (median of the rounds; 31.8-42.2)
-# against 33.9 ms at 8192 (32.9-37.1) and 49.4 ms at 32768 (48.4-50.0),
+# caller, or each of the sweep's block loops, holds at once; the budget
+# is per loop, and `block_width` turns it into columns.  Sized on the
+# benchmark's sweeps (2-vCPU x86-64 VM, each figure a best of 20 whole
+# sweeps): on its 300-bus meshed grid, with two loops, 16384 entries (54
+# columns) took 40.4 ms against 41.5 ms at 8192 and 49.6 ms at 32768,
 # where the 128 points no longer make two full blocks and one loop runs
-# them.  With one loop (best of 10) 16384 took 61 ms, against 65-69 ms
-# at 2048 to 8192, 63-65 ms at 32768 and 65536, and 135 ms one column at
-# a time; on its 1000-bus feeder every budget from 4096 up took 27-28
-# ms.  Loops overlap only in wide blocks, which is why converges starts
-# one only per full block: in 4-column blocks (a budget of 4000) that
-# feeder's 8-point ray took 16.0 ms in two loops against 10.0 ms in one
-# (best of 25 alternated runs), while the meshed sweep's 54-column
-# blocks took 35.4 ms in two loops against 44.7 ms in one.
+# them (medians of four alternated rounds in one process).  Loops
+# overlap only in wide blocks, which is why fixed_point.converges starts
+# one only per full block: the meshed sweep's 54-column blocks took 45.7
+# ms in two loops against 52.5 ms in one (medians of four alternated
+# processes), while in 4-column blocks (a budget of 4000) the 8-point
+# ray of its 1000-bus feeder took 16.0 ms in two loops against 10.0 ms
+# in one (best of 25 alternated runs).
 BLOCK_ENTRIES = 16384
 
 
@@ -104,6 +98,11 @@ def factorize(y_ll) -> LuFactors:
         )
     fill_in = lu.L.nnz + lu.U.nnz - n - a.count_nonzero()
     return LuFactors(n=n, fill_in_count=int(fill_in), lu=lu)
+
+
+def block_width(n: int) -> int:
+    """The columns of a block of right-hand sides with n entries each."""
+    return max(1, BLOCK_ENTRIES // n)
 
 
 def solve(factors: LuFactors, rhs) -> np.ndarray:

@@ -132,7 +132,7 @@ def test_criterion_4_hoelder_dominance_and_nesting(certified_networks):
                 if not fc.certify(grid.kernel, scale * s).corollary_ok:
                     violations += 1
         # mask nesting across a full 512-point sweep
-        result = sweep(net, s, kappa_max=10.0, steps=512, run_fixed_point=False)
+        result = sweep(net, s, kappa_max=10.0, steps=512)
         violations += int(np.any(result.prior_mask & ~result.improved_mask))
         violations += int(np.any(result.improved_mask & ~result.corollary_mask))
     elapsed = time.perf_counter() - start

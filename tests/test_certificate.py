@@ -9,11 +9,14 @@ from hypothesis.extra.numpy import arrays
 import flowcert as fc
 from flowcert.certificate import (
     CONJUGATE_EXPONENT,
+    _abs_kernel,
     _column_maxima,
+    _dense_columns,
     _dense_kernel as _dense_reference,
     _pass_coupling,
     _q_norms,
     _tree_passes,
+    _xi_block,
     check_prior_conditions,
     solution_ball,
     theorem_conditions,
@@ -74,8 +77,8 @@ def test_abs_kernel_column_blocks_equal_single_column_solves_bitwise(monkeypatch
         unit[j] = 1.0
         want[:, j] = np.abs(fc.solve(grid.factors, unit)) * inv_w * inv_w[j]
     # a budget of 5 columns: four full blocks and a last one of 3
-    monkeypatch.setattr(fc.certificate, "BLOCK_ENTRIES", 5 * n)
-    got = fc.certificate._abs_kernel(grid.factors, grid.w)
+    monkeypatch.setattr(fc.sparse_lu, "BLOCK_ENTRIES", 5 * n)
+    got = _abs_kernel(n, complex, _dense_columns(grid.factors, grid.w))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -90,7 +93,7 @@ def test_abs_kernel_real_scaling_matches_the_complex_kernel():
         w = grid.w.w
         z = fc.solve(grid.factors, np.eye(grid.factors.n, dtype=complex))
         want = np.abs(z / w[:, None] / np.conj(w)[None, :])
-        got = fc.certificate._abs_kernel(grid.factors, grid.w)
+        got = _abs_kernel(grid.factors.n, complex, _dense_columns(grid.factors, grid.w))
         assert np.array_equal(got == 0, want == 0)
         assert np.all(np.abs(got - want) <= 8 * eps * want)
         zeros += int(np.sum(want == 0))
@@ -125,13 +128,33 @@ def test_kernel_size_cap(monkeypatch):
     assert column_solves == []
 
 
+def test_tree_abs_k_columns_are_the_row_sums_of_lone_unit_vectors_bitwise(monkeypatch):
+    rng = np.random.default_rng(33)
+    grid = fc.prepare_grid(random_tree(rng, 23))
+    kernel, n = grid.kernel, grid.kernel.n
+    assert kernel.path == "tree"
+    want = np.empty((n, n))
+    for j in range(n):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        want[:, j] = kernel.row_sums(unit)
+    # a budget of 5 columns: four full blocks and a last one of 3
+    monkeypatch.setattr(fc.sparse_lu, "BLOCK_ENTRIES", 5 * n)
+    got = kernel.abs_k
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_tree_kernel_is_uncapped_but_its_abs_k_is_not(monkeypatch):
+    # |K| is refused before it is allocated or any pass runs.
     grid = fc.prepare_grid(chain_network(fc.certificate.KERNEL_SIZE_CAP + 1))
     assert grid.kernel.path == "tree"
     column_solves = _count_column_solves(monkeypatch)
+    passes = []
+    monkeypatch.setattr(fc.certificate.TreeKernel, "row_sums",
+                        lambda *args: passes.append(1))
     with pytest.raises(ValueError, match="size cap"):
         grid.kernel.abs_k
-    assert column_solves == []
+    assert column_solves == [] and passes == []
 
 
 def _dense_kernel(grid):
@@ -203,6 +226,7 @@ def _tree_and_dense(net):
 def _assert_kernels_match(tree, dense, t):
     rel = 1e-12
     np.testing.assert_allclose(tree.row_sums(t), dense.row_sums(t), rtol=rel, atol=0)
+    np.testing.assert_allclose(tree.abs_k, dense.abs_k, rtol=rel, atol=0)
     np.testing.assert_allclose(tree.lam, dense.lam, rtol=rel, atol=0)
     for p in CONJUGATE_EXPONENT:
         assert tree.row_norm[p] == pytest.approx(dense.row_norm[p], rel=rel, abs=0)
@@ -460,6 +484,31 @@ def test_row_sums_of_a_block_are_its_columns_row_sums_bitwise(seed, n, k, meshed
         assert got.shape == (n, k)
         for j in range(k):
             assert np.array_equal(got[:, j], kernel.row_sums(block[:, j].copy()))
+
+
+@pytest.mark.parametrize("make", [random_tree, random_network])
+def test_xi_block_walks_blocks_bitwise_equal_to_xi(make, monkeypatch):
+    # 11 injections at 4 columns a block: two full blocks and one of 3,
+    # on the network's own kernel and on its dense kernel.
+    rng = np.random.default_rng(34)
+    grid = fc.prepare_grid(make(rng, 30))
+    injections = [random_injections(rng, 30) for _ in range(11)]
+    injections[4][:] = 0.0
+    monkeypatch.setattr(fc.sparse_lu, "BLOCK_ENTRIES", 4 * 30)
+    for kernel in (grid.kernel, _dense_reference(grid.system, grid.factors, grid.w)):
+        real_row_sums = type(kernel).row_sums
+        blocks = []
+
+        def counted_row_sums(self, t, real_row_sums=real_row_sums):
+            blocks.append(t.shape)
+            return real_row_sums(self, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(kernel), "row_sums", counted_row_sums)
+            got = _xi_block(kernel, iter(injections))
+        assert blocks == [(30, 4), (30, 4), (30, 3)]
+        assert got == [xi(kernel, s) for s in injections]
+    assert grid.kernel.path == ("tree" if make is random_tree else "dense")
 
 
 def test_row_sums_block_contract_on_large_networks():

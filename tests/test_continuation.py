@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import flowcert as fc
-from flowcert import fixed_point
+from flowcert import fixed_point, sparse_lu
 from flowcert.certificate import check_prior_conditions, theorem_conditions
 from flowcert.continuation import sweep, sweep_table
 from flowcert.errors import ConvergenceError, VoltageCollapseError
@@ -15,7 +15,6 @@ from netrand import random_injections, random_network, random_tree
 def small_sweep(feeder_net, feeder_s_hat, op=None, **kw):
     kw.setdefault("kappa_max", 20.0)
     kw.setdefault("steps", 64)
-    kw.setdefault("run_fixed_point", False)
     return sweep(feeder_net, feeder_s_hat, operating_point=op, **kw)
 
 
@@ -59,7 +58,7 @@ def test_nesting_on_random_networks():
     for _ in range(5):
         net = random_network(rng, int(rng.integers(3, 10)))
         ray = random_injections(rng, net.n)
-        result = sweep(net, ray, kappa_max=10.0, steps=96, run_fixed_point=False)
+        result = sweep(net, ray, kappa_max=10.0, steps=96)
         assert not np.any(result.prior_mask & ~result.improved_mask)
         assert not np.any(result.improved_mask & ~result.corollary_mask)
 
@@ -76,9 +75,8 @@ def test_theorem_mask_equals_per_point_evaluation(make, path, monkeypatch):
     op = fc.OperatingPoint(v=v_hat, s=s_hat, provenance="solved")
     kappa_max = 10.0 * float(np.sum(np.abs(s_hat)))
     # blocks of 7 grid points: 14 full blocks and a last one of 2
-    monkeypatch.setattr(fc.continuation, "BLOCK_ENTRIES", 7 * net.n)
-    result = sweep(net, s_hat, operating_point=op, kappa_max=kappa_max, steps=100,
-                   run_fixed_point=False)
+    monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", 7 * net.n)
+    result = sweep(net, s_hat, operating_point=op, kappa_max=kappa_max, steps=100)
 
     u_min = fc.u_min(v_hat, grid.w)
     xi_s_hat = fc.xi(grid.kernel, s_hat)
@@ -168,8 +166,7 @@ def test_closed_form_boundaries_and_masks(feeder_net, feeder_s_hat):
         want = {name: 0.25 * base * np.sum(np.abs(ray)) / value
                 for name, value in g.items()}
         # the range ends past every boundary, so each one is reported
-        result = sweep(net, ray, kappa_max=1.5 * max(want.values()), steps=200,
-                       run_fixed_point=False)
+        result = sweep(net, ray, kappa_max=1.5 * max(want.values()), steps=200)
         for name in want:
             got = getattr(result, f"{name}_boundary")
             assert got == pytest.approx(want[name], rel=1e-12)
@@ -201,8 +198,7 @@ def test_stale_operating_point_rejected(feeder_net, feeder_s_hat, feeder_op):
 
 
 def test_empirical_convergence_where_corollary_passes(feeder_net, feeder_s_hat):
-    result = sweep(feeder_net, feeder_s_hat, kappa_max=8.0, steps=24,
-                   run_fixed_point=True)
+    result = sweep(feeder_net, feeder_s_hat, kappa_max=8.0, steps=24)
     assert result.fp_converged is not None
     assert not np.any(result.corollary_mask & ~result.fp_converged)
 
@@ -257,8 +253,8 @@ def test_sweep_table_is_the_same_on_one_cpu_and_on_several(
     # 2048 points at 1365 columns a block: two full blocks for two loops.
     # 4 columns a block: 512 blocks, up to 3 loops.
     tables = set()
-    for entries in (fixed_point.BLOCK_ENTRIES, 48):
-        monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", entries)
+    for entries in (sparse_lu.BLOCK_ENTRIES, 48):
+        monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", entries)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(fixed_point, "_cpu_count", lambda: cpus)
             result = sweep(feeder_net, feeder_s_hat, operating_point=feeder_op,
@@ -288,8 +284,7 @@ def test_sweep_evaluates_prior_conditions_once_per_point(
 
 
 def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat, feeder_op, monkeypatch):
-    # Every argument is checked before set-up: no bad one reaches xi, the
-    # fixed-point options included when the fixed-point pass is skipped.
+    # Every argument is checked before set-up: no bad one reaches xi.
     calls = []
     real = fc.certificate.xi
 
@@ -305,21 +300,19 @@ def test_sweep_rejects_bad_arguments(feeder_net, feeder_s_hat, feeder_op, monkey
     for value in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="kappa_max must be finite and positive"):
             sweep(feeder_net, feeder_s_hat, kappa_max=value, steps=4)
-        for run_fixed_point in (True, False):
-            with pytest.raises(ValueError, match="tol must be finite and positive"):
-                sweep(feeder_net, feeder_s_hat, feeder_op, kappa_max=1.0, steps=512,
-                      fp_tol=value, run_fixed_point=run_fixed_point)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            sweep(feeder_net, feeder_s_hat, feeder_op, kappa_max=1.0, steps=512,
+                  fp_tol=value)
     for value in (0, -1):
-        for run_fixed_point in (True, False):
-            with pytest.raises(ValueError, match="fp_max_iter must be at least 1"):
-                sweep(feeder_net, feeder_s_hat, feeder_op, kappa_max=1.0, steps=512,
-                      fp_max_iter=value, run_fixed_point=run_fixed_point)
+        with pytest.raises(ValueError, match="fp_max_iter must be at least 1"):
+            sweep(feeder_net, feeder_s_hat, feeder_op, kappa_max=1.0, steps=512,
+                  fp_max_iter=value)
     assert calls == []
 
 
 def test_sweep_table_shape(feeder_net, feeder_s_hat, feeder_op):
     result = sweep(feeder_net, feeder_s_hat, operating_point=feeder_op,
-                   kappa_max=12.0, steps=8, run_fixed_point=True)
+                   kappa_max=12.0, steps=8)
     table = sweep_table(result)
     lines = table.strip().split("\n")
     assert lines[0] == "kappa,theorem,corollary,improved,prior,fp_converged"
@@ -333,4 +326,5 @@ def test_sweep_table_blank_columns_without_op(feeder_net, feeder_s_hat):
     result = small_sweep(feeder_net, feeder_s_hat, steps=4)
     lines = sweep_table(result).strip().split("\n")
     row = lines[1].split(",")
-    assert row[1] == "" and row[5] == ""  # no theorem mask, no fp column
+    assert row[1] == ""  # no theorem mask
+    assert row[5] == "1"  # the fixed point converges at zero loading

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import flowcert as fc
-from flowcert import fixed_point
+from flowcert import fixed_point, sparse_lu
 from flowcert.errors import ConvergenceError, VoltageCollapseError
 from flowcert.fixed_point import (
     SolveResult,
@@ -372,7 +372,7 @@ def test_block_keeps_each_columns_ball(feeder_grid, feeder_op, feeder_s_next):
 def test_refill_keeps_the_block_within_its_budget(feeder_grid, monkeypatch):
     # A budget of 36 entries holds 3 of feeder13's 12-bus columns, so all
     # but the first 3 of the 40 injections enter the block as others retire.
-    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", 36)
     widths = []
 
     def recorded(factors, w, s, v):
@@ -445,7 +445,7 @@ def test_converges_gives_the_same_outcomes_on_any_number_of_cpus(
     sys.setswitchinterval(1e-5)
     try:
         for grid, entries, (direction, scales) in rays:
-            monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", entries)
             threads, outcomes = recorded_loops(monkeypatch)
             flags = fixed_point.converges(grid.factors, grid.w, direction, scales, max_iter=60)
             monkeypatch.setattr(fixed_point, "_iterate_block", _iterate_block)
@@ -464,7 +464,7 @@ def test_converges_gives_the_same_outcomes_on_any_number_of_cpus(
 
 def test_no_thread_starts_for_one_block_or_a_single_solve(feeder_grid, monkeypatch):
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 4)
-    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)  # 3 columns a block
+    monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", 36)  # 3 columns a block
     starts = counted_thread_starts(monkeypatch)
     rng = np.random.default_rng(50)
     direction, scales = random_ray(feeder_grid, rng, 6)  # 6: two full blocks
@@ -478,7 +478,7 @@ def test_no_thread_starts_for_one_block_or_a_single_solve(feeder_grid, monkeypat
 
 def test_an_exception_in_a_worker_loop_raises_in_the_caller(feeder_grid, monkeypatch):
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", 36)
     direction, scales = random_ray(feeder_grid, np.random.default_rng(51), 38)
     main = threading.main_thread()
 
@@ -500,7 +500,7 @@ def test_a_failing_caller_loop_stops_the_worker_loops(feeder_grid, monkeypatch, 
     # update left when the caller's fifth update raises.  A worker may
     # be inside the update it started before the stop, but makes no more.
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", 36)
     direction, scales = random_ray(feeder_grid, np.random.default_rng(53), 90)
     main = threading.main_thread()
     raised = threading.Event()
@@ -526,7 +526,7 @@ def test_a_failing_caller_loop_stops_the_worker_loops(feeder_grid, monkeypatch, 
 
 def test_a_bad_argument_fails_before_any_worker_starts(feeder_grid, monkeypatch):
     monkeypatch.setattr(fixed_point, "_cpu_count", lambda: 3)
-    monkeypatch.setattr(fixed_point, "BLOCK_ENTRIES", 36)
+    monkeypatch.setattr(sparse_lu, "BLOCK_ENTRIES", 36)
     starts = counted_thread_starts(monkeypatch)
     updates = []
 

@@ -195,10 +195,9 @@ def test_feeder_fixture_has_twelve_load_buses(feeder_net):
     assert feeder_net.bus_ids == tuple(str(i) for i in range(13))
 
 
-def test_fixture_script_builds_the_committed_feeder_layout(feeder_net):
-    # The script's impedance scale is fitted at run time, so only the
-    # layout is compared: a rerun moves g and b in the last digits.
-    path = Path(__file__).resolve().parents[1] / "scripts" / "make_feeder_fixture.py"
+def test_fixture_script_builds_the_committed_feeder_layout(feeder_net, feeder_op):
+    root = Path(__file__).resolve().parents[1]
+    path = root / "scripts" / "make_feeder_fixture.py"
     spec = importlib.util.spec_from_file_location("make_feeder_fixture", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
@@ -208,6 +207,15 @@ def test_fixture_script_builds_the_committed_feeder_layout(feeder_net):
     assert np.array_equal(net.arrays.from_pos, feeder_net.arrays.from_pos)
     assert np.array_equal(net.arrays.to_pos, feeder_net.arrays.to_pos)
     assert (net.power_base, net.voltage_base) == (feeder_net.power_base, feeder_net.voltage_base)
+    # With its constant impedance scale the script rewrites the network and
+    # injection files byte for byte; Newton's voltages agree to roundoff.
+    _, _, files = script.build_fixture()
+    committed = root / "data" / "feeder13"
+    for name in ("network.json", "injections_base.json", "injections_next.json"):
+        assert files[name] == (committed / name).read_text(encoding="utf-8"), name
+    op = fc.parse_operating_point(feeder_net, files["operating_point.json"])
+    assert np.array_equal(op.s, feeder_op.s)
+    assert np.max(np.abs(op.v - feeder_op.v)) <= 1e-12
 
 
 def test_slack_is_reordered_to_front():
